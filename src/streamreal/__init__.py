@@ -7,7 +7,7 @@ Reals in [-1, 1] are represented either as signed-digit streams
 (:mod:`streamreal.kernel`).
 """
 
-from . import cauchy, cli, digits, gray_ops, kernel, sd_ops
+from . import cauchy, digits, gray_ops, kernel, sd_ops
 from .kernel import (
     ForceCount,
     GrayG,
@@ -16,7 +16,6 @@ from .kernel import (
     Splice,
     take_gray_prefix,
     take_prefix,
-    unfold_gray,
     unfold_sd,
     with_force_count,
     with_force_count_gray,
@@ -24,7 +23,6 @@ from .kernel import (
 
 __all__ = [
     "cauchy",
-    "cli",
     "digits",
     "gray_ops",
     "kernel",
@@ -36,7 +34,6 @@ __all__ = [
     "Splice",
     "take_gray_prefix",
     "take_prefix",
-    "unfold_gray",
     "unfold_sd",
     "with_force_count",
     "with_force_count_gray",

@@ -19,10 +19,12 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
+from typing import Callable
 
 from . import gray_ops, sd_ops
 from .digits import format_rational, parse_rational
-from .kernel import take_gray_prefix, take_prefix, with_force_count, with_force_count_gray
+from .kernel import take_gray_prefix, take_prefix, with_force_count
 
 BENCH_NUMERATOR = Fraction(1001, 3001)
 BENCH_DENOMINATOR = Fraction(10001, 20001)
@@ -64,6 +66,23 @@ def text_to_gray(text: str) -> list[tuple[str, int | None]]:
             raise ValueError(f"not a Gray-code token: {token!r}")
         out.append(_GRAY_CONSTRUCTORS[token])
     return out
+
+
+@dataclass(frozen=True)
+class Coding:
+    """What the commands need of one coding: its operations, how to take a
+    prefix, how to print one, and the round trip of ``op convert``."""
+
+    ops: ModuleType
+    take: Callable
+    to_text: Callable
+    convert: Callable
+
+
+CODINGS = {
+    "sd": Coding(sd_ops, take_prefix, sd_to_text, lambda u: gray_ops.to_sd(gray_ops.from_sd(u))),
+    "gray": Coding(gray_ops, take_gray_prefix, gray_to_text, lambda g: g),
+}
 
 
 @dataclass(frozen=True)
@@ -112,41 +131,36 @@ def _require_unit(a: Fraction, name: str) -> None:
     _require(-1 <= a <= 1, f"-1 <= {name} <= 1 ({name} = {format_rational(a)})")
 
 
+def _require_digits(n: int) -> None:
+    _require(n >= 1, f"--digits >= 1 (--digits = {n})")
+
+
+def _take_timed(coding: Coding, result, n: int) -> tuple[str, float, Fraction]:
+    """Printed prefix of ``n`` symbols, the time to produce it, its value."""
+    start = time.perf_counter()
+    text = coding.to_text(coding.take(result, n))
+    elapsed = time.perf_counter() - start
+    return text, elapsed, coding.ops.decode(result, n)
+
+
 def _cmd_encode(args) -> int:
     a = _parse_arg(args.value)
     _require_unit(a, "a")
-    if args.code == "sd":
-        print(sd_to_text(take_prefix(sd_ops.encode(a), args.digits)))
-    else:
-        print(gray_to_text(take_gray_prefix(gray_ops.encode(a), args.digits)))
+    _require_digits(args.digits)
+    coding = CODINGS[args.code]
+    print(coding.to_text(coding.take(coding.ops.encode(a), args.digits)))
     return 0
 
 
-_UNARY_EXACT = {
-    "neg": lambda a: -a,
-    "half": lambda a: a / 2,
-    "double": lambda a: 2 * a,
-    "add1": lambda a: a + 1,
-    "sub1": lambda a: a - 1,
-    "convert": lambda a: a,
-}
-
-_SD_UNARY = {
-    "neg": sd_ops.negate,
-    "half": sd_ops.half,
-    "double": sd_ops.double,
-    "add1": sd_ops.add_one,
-    "sub1": sd_ops.sub_one,
-    "convert": lambda u: gray_ops.to_sd(gray_ops.from_sd(u)),
-}
-
-_GRAY_UNARY = {
-    "neg": gray_ops.negate,
-    "half": gray_ops.half,
-    "double": gray_ops.double,
-    "add1": gray_ops.add_one,
-    "sub1": gray_ops.sub_one,
-    "convert": lambda g: g,
+# op name -> (name in sd_ops/gray_ops, exact value); convert is per coding
+_OPS = {
+    "neg": ("negate", lambda a: -a),
+    "half": ("half", lambda a: a / 2),
+    "double": ("double", lambda a: 2 * a),
+    "add1": ("add_one", lambda a: a + 1),
+    "sub1": ("sub_one", lambda a: a - 1),
+    "avg": ("average", lambda a, b: (a + b) / 2),
+    "convert": (None, lambda a: a),
 }
 
 
@@ -173,31 +187,13 @@ def _cmd_op(args) -> int:
         raise CliFailure(2, f"error: {name} needs exactly one rational")
     _check_op_preconditions(name, values)
     n = args.digits
-    exact = (values[0] + values[1]) / 2 if name == "avg" else _UNARY_EXACT[name](values[0])
-
-    if args.code == "sd":
-        inputs = [with_force_count(sd_ops.encode(a)) for a in values]
-        streams = [s for s, _ in inputs]
-        if name == "avg":
-            result = sd_ops.average(*streams)
-        else:
-            result = _SD_UNARY[name](streams[0])
-        start = time.perf_counter()
-        text = sd_to_text(take_prefix(result, n))
-        elapsed = time.perf_counter() - start
-        decoded = sd_ops.decode(result, n)
-    else:
-        inputs = [with_force_count_gray(gray_ops.encode(a)) for a in values]
-        codes = [g for g, _ in inputs]
-        if name == "avg":
-            result = gray_ops.average(*codes)
-        else:
-            result = _GRAY_UNARY[name](codes[0])
-        start = time.perf_counter()
-        text = gray_to_text(take_gray_prefix(result, n))
-        elapsed = time.perf_counter() - start
-        decoded = gray_ops.decode(result, n)
-
+    _require_digits(n)
+    coding = CODINGS[args.code]
+    op_name, exact_op = _OPS[name]
+    op = getattr(coding.ops, op_name) if op_name else coding.convert
+    inputs = [with_force_count(coding.ops.encode(a)) for a in values]
+    result = op(*[stream for stream, _ in inputs])
+    text, elapsed, decoded = _take_timed(coding, result, n)
     print(text)
     if args.stats:
         counts = [counter.count for _, counter in inputs]
@@ -207,7 +203,7 @@ def _cmd_op(args) -> int:
             counts[1] if len(counts) > 1 else None,
             elapsed,
             decoded,
-            exact,
+            exact_op(*values),
         )
         print(report.as_line())
     return 0
@@ -224,28 +220,14 @@ def _cmd_div(args) -> int:
     y = _parse_arg(args.denominator)
     _check_div_preconditions(x, y)
     n = args.digits
-    exact = x / y
-
-    if args.code == "sd":
-        u, cu = with_force_count(sd_ops.encode(x))
-        v, cv = with_force_count(sd_ops.encode(y))
-        result = sd_ops.divide(u, v)
-        start = time.perf_counter()
-        text = sd_to_text(take_prefix(result, n))
-        elapsed = time.perf_counter() - start
-        decoded = sd_ops.decode(result, n)
-    else:
-        g, cu = with_force_count_gray(gray_ops.encode(x))
-        h, cv = with_force_count_gray(gray_ops.encode(y))
-        result = gray_ops.divide(g, h)
-        start = time.perf_counter()
-        text = gray_to_text(take_gray_prefix(result, n))
-        elapsed = time.perf_counter() - start
-        decoded = gray_ops.decode(result, n)
-
+    _require_digits(n)
+    coding = CODINGS[args.code]
+    u, cu = with_force_count(coding.ops.encode(x))
+    v, cv = with_force_count(coding.ops.encode(y))
+    text, elapsed, decoded = _take_timed(coding, coding.ops.divide(u, v), n)
     print(text)
     if args.stats:
-        report = RunReport.build(n, cu.count, cv.count, elapsed, decoded, exact)
+        report = RunReport.build(n, cu.count, cv.count, elapsed, decoded, x / y)
         print(report.as_line())
     return 0
 
@@ -265,14 +247,11 @@ def _parse_digit_list(text: str) -> list[int]:
 
 
 def _time_division(n: int, code: str) -> float:
-    if code == "sd":
-        result = sd_ops.divide(sd_ops.encode(BENCH_NUMERATOR), sd_ops.encode(BENCH_DENOMINATOR))
-        start = time.perf_counter()
-        take_prefix(result, n)
-        return time.perf_counter() - start
-    result = gray_ops.divide(gray_ops.encode(BENCH_NUMERATOR), gray_ops.encode(BENCH_DENOMINATOR))
+    coding = CODINGS[code]
+    ops = coding.ops
+    result = ops.divide(ops.encode(BENCH_NUMERATOR), ops.encode(BENCH_DENOMINATOR))
     start = time.perf_counter()
-    take_gray_prefix(result, n)
+    coding.take(result, n)
     return time.perf_counter() - start
 
 

@@ -1,6 +1,5 @@
-"""Digit alphabets and exact rational plumbing shared by every other module.
+"""Exact rational plumbing shared by the other modules.
 
-A signed digit is one of the integers -1, 0, +1; a proper digit excludes 0.
 Rationals are stdlib :class:`fractions.Fraction` values, which already keep
 the canonical form we rely on (positive denominator, reduced by gcd,
 arbitrary-precision integers).
@@ -9,33 +8,9 @@ arbitrary-precision integers).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal
-
-SignedDigit = Literal[-1, 0, 1]
-ProperDigit = Literal[-1, 1]
-
-SIGNED_DIGITS: tuple[SignedDigit, ...] = (-1, 0, 1)
-PROPER_DIGITS: tuple[ProperDigit, ...] = (-1, 1)
 
 # Accept the unicode minus sign on input; we always print the ASCII one.
 _MINUS_SIGNS = "−-"
-
-
-def negate_digit(d: SignedDigit) -> SignedDigit:
-    """Return -d (an involution on the digit alphabet)."""
-    return -d
-
-
-def as_signed_digit(value: int) -> SignedDigit:
-    if value not in (-1, 0, 1):
-        raise ValueError(f"not a signed digit: {value!r}")
-    return value  # type: ignore[return-value]
-
-
-def as_proper_digit(value: int) -> ProperDigit:
-    if value not in (-1, 1):
-        raise ValueError(f"not a proper digit: {value!r}")
-    return value  # type: ignore[return-value]
 
 
 def make_fraction(numerator: int, denominator: int) -> Fraction:
@@ -46,15 +21,6 @@ def make_fraction(numerator: int, denominator: int) -> Fraction:
     if denominator == 0:
         raise ValueError("zero-denominator")
     return Fraction(numerator, denominator)
-
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Exact order: -1 if a < b, 0 if a == b, +1 if a > b."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def parse_rational(text: str) -> Fraction:

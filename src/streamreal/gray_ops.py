@@ -5,6 +5,8 @@ two codings are denotation-preserving automata, and the average is routed
 through the signed-digit automaton.  Sign-node semantics: a mode-G node
 ``(s, g)`` denotes ``-s*(x_g - 1)/2`` (the reflected branch), a mode-H node
 ``(s, g)`` denotes ``s*(x_g + 1)/2``, and both delay constructors halve.
+The mode of a node is its class; :func:`negate` and :func:`shift` work in
+either mode and keep it.
 """
 
 from __future__ import annotations
@@ -13,29 +15,15 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import sd_ops
-from .kernel import GrayG, GrayH, GrayNode, SdStream, gray_from_signs, stream_from_digits
+from .kernel import GrayG, GrayH, GrayNode, SdStream, gray_from_signs, stream_from_digits, tail_at
 
-
-def _cyclic_sign(sign: int) -> GrayG:
-    node = GrayG.__new__(GrayG)
-    node.sign = sign
-    node.rest = node
-    node._thunk = None
-    return node
-
-
-_MINUS_ONE = _cyclic_sign(-1)
+_MINUS_ONE = GrayG.constant(-1)
 _ONE = GrayG.sign_node(1, _MINUS_ONE)
 
 
 def one() -> GrayG:
     """The Gray code of the constant 1."""
     return _ONE
-
-
-def minus_one() -> GrayG:
-    """The Gray code of the constant -1."""
-    return _MINUS_ONE
 
 
 def encode(a: Fraction) -> GrayG:
@@ -56,7 +44,7 @@ def decode(node: GrayNode, n: int) -> Fraction:
     cur = node
     for _ in range(n):
         cur = cur.force()
-        s = cur.sign
+        s = cur.head
         if s is None:
             b = 2 * b
         elif cur.is_g:
@@ -65,36 +53,35 @@ def decode(node: GrayNode, n: int) -> Fraction:
         else:
             b = a * s + 2 * b
             a = a * s
-        cur = cur.rest
+        cur = cur.tail
     return Fraction(b, 1 << n)
 
 
-def negate(g: GrayG) -> GrayG:
-    """Denotes ``-x``: flip the sign node's sign, recurse through delays.
+def negate(node: GrayNode) -> GrayNode:
+    """Denotes ``-x`` in the mode of ``node``: flip the sign node's sign,
+    recurse through delays.
 
     The continuation under a sign node is untouched -- both branch maps are
     reflections of each other around 0, so only the choice of branch flips.
     """
 
     def thunk() -> tuple:
-        c = g.force()
-        if c.sign is not None:
-            return -c.sign, c.rest
-        return None, negate_h(c.rest)
+        c = node.force()
+        if c.head is not None:
+            return -c.head, c.tail
+        return None, negate(c.tail)
 
-    return GrayG(thunk)
+    return type(node)(thunk)
 
 
-def negate_h(h: GrayH) -> GrayH:
-    """Mode-H variant of :func:`negate`."""
-
+def _switch_mode(node: GrayNode, cls: type) -> GrayNode:
     def thunk() -> tuple:
-        c = h.force()
-        if c.sign is not None:
-            return -c.sign, c.rest
-        return None, negate_h(c.rest)
+        c = node.force()
+        if c.head is not None:
+            return c.head, negate(c.tail)
+        return None, c.tail
 
-    return GrayH(thunk)
+    return cls(thunk)
 
 
 def to_h(g: GrayG) -> GrayH:
@@ -103,62 +90,37 @@ def to_h(g: GrayG) -> GrayH:
     Single-constructor rewrite, no corecursion: a sign node keeps its sign
     and negates its continuation, a delay node switches delay flavour.
     """
-
-    def thunk() -> tuple:
-        c = g.force()
-        if c.sign is not None:
-            return c.sign, negate(c.rest)
-        return None, c.rest
-
-    return GrayH(thunk)
+    return _switch_mode(g, GrayH)
 
 
 def to_g(h: GrayH) -> GrayG:
-    """Inverse rewrite of :func:`to_h`."""
-
-    def thunk() -> tuple:
-        c = h.force()
-        if c.sign is not None:
-            return c.sign, negate(c.rest)
-        return None, c.rest
-
-    return GrayG(thunk)
+    """Inverse rewrite of :func:`to_h` (the same equations)."""
+    return _switch_mode(h, GrayG)
 
 
-def shift(g: GrayG, direction: int) -> GrayG:
-    """For ``x <= 0``: code of ``x + 1`` (direction +1) or ``-(x + 1)`` (-1).
+def shift(node: GrayNode, direction: int) -> GrayNode:
+    """For ``x <= 0``: code of ``x + 1`` (direction +1) or ``-(x + 1)`` (-1),
+    in the mode of ``node``.
 
-    Equations: a leading +1 sign forces ``x = 0`` and yields the constant
-    code of ``direction``; a leading -1 sign yields ``(direction,
-    negate(rest))``; a delay node re-enters through the mode-H shift of the
-    converted continuation with direction -1.
+    Equations: a leading +1 sign forces ``x = 0`` and yields ``direction``
+    over the constant code that makes a sign node of this mode denote
+    ``direction`` (-1 in mode G, +1 in mode H); a leading -1 sign yields
+    ``(direction, negate(rest))``; a delay node re-enters through the shift
+    of the mode-G rewrite of its continuation, with direction -1 in mode G
+    and +1 in mode H.
     """
+    end = -1 if node.is_g else 1
 
     def thunk() -> tuple:
-        c = g.force()
-        s = c.sign
+        c = node.force()
+        s = c.head
         if s == 1:
-            return direction, _MINUS_ONE
+            return direction, _MINUS_ONE if end == -1 else _ONE
         if s == -1:
-            return direction, negate(c.rest)
-        return direction, shift(to_g(c.rest), -1)
+            return direction, negate(c.tail)
+        return direction, shift(to_g(c.tail), end)
 
-    return GrayG(thunk)
-
-
-def shift_h(h: GrayH, direction: int) -> GrayH:
-    """Mode-H variant of :func:`shift` (same value, H constructors)."""
-
-    def thunk() -> tuple:
-        c = h.force()
-        s = c.sign
-        if s == 1:
-            return direction, _ONE
-        if s == -1:
-            return direction, negate(c.rest)
-        return direction, shift(to_g(c.rest), 1)
-
-    return GrayH(thunk)
+    return type(node)(thunk)
 
 
 def add_one(g: GrayG) -> GrayG:
@@ -173,7 +135,7 @@ def sub_one(g: GrayG) -> GrayG:
 
 def half(g: GrayG) -> GrayG:
     """Denotes ``x/2``: one delay constructor over the mode-H rewrite."""
-    return GrayG.delay_node(to_h(g))
+    return GrayG.cons(None, to_h(g))
 
 
 def double(g: GrayG) -> GrayG:
@@ -185,12 +147,10 @@ def double(g: GrayG) -> GrayG:
 
     def select() -> GrayG:
         c = g.force()
-        s = c.sign
-        if s == 1:
-            return shift(negate(c.rest), 1)
-        if s == -1:
-            return shift(negate(c.rest), -1)
-        return to_g(c.rest)
+        s = c.head
+        if s is None:
+            return to_g(c.tail)
+        return shift(negate(c.tail), s)
 
     return GrayG.defer(select)
 
@@ -219,96 +179,53 @@ def _leading_sign(x: GrayG) -> tuple[int, GrayG | None]:
     one delay).
     """
     c = x.force()
-    if c.sign is not None:
-        return c.sign, None
-    h1 = c.rest.force()
-    if h1.sign is not None:
-        return h1.sign, None
-    h2 = h1.rest.force()
-    if h2.sign is not None:
-        return h2.sign, None
-    return 0, GrayG.delay_node(GrayH.delay_node(h2.rest))
-
-
-def div_step(x: GrayG, y: GrayG) -> tuple[int, GrayG]:
-    """One division step: a signed digit d and a numerator x' with
-    ``x/y = ((x'/y) + d)/2`` and ``|x'| <= y``.
-
-    Requires ``1/4 <= y`` and ``|x| <= y``.
-    """
-    d, replacement = _leading_sign(x)
-    if d == 1:
-        return 1, twice_minus(x, y)
-    if d == -1:
-        return -1, twice_plus(x, y)
-    return 0, replacement
+    if c.head is not None:
+        return c.head, None
+    h1 = c.tail.force()
+    if h1.head is not None:
+        return h1.head, None
+    h2 = h1.tail.force()
+    if h2.head is not None:
+        return h2.head, None
+    return 0, GrayG.cons(None, GrayH.cons(None, h2.tail))
 
 
 def divide(x: GrayG, y: GrayG) -> GrayG:
     """Denotes ``x/y`` under ``1/4 <= y`` and ``|x| <= y``.
 
-    Two mutually corecursive producers drive :func:`div_step`; the emitted
-    digit maps onto constructors mode by mode.  Mode G: +1 emits a sign node
-    and continues (mode G) on the negated numerator, -1 continues on the
-    numerator itself, 0 emits the delay and switches to mode H.  Mode H is
-    the mirror image (+1 plain / -1 negated, both back to mode G).
+    One digit per step, as in the signed-digit division: the sign of the
+    numerator ``x'`` from up to three constructors gives the digit d, and
+    the next numerator is ``2x' - y`` (d = +1), ``2x' + y`` (d = -1) or
+    ``2x'`` (d = 0).  The digit maps onto constructors mode by mode.  Mode
+    G: +1 emits a sign node and continues (mode G) on the negated
+    numerator, -1 continues on the numerator itself, 0 emits the delay and
+    switches to mode H.  Mode H is the mirror image (+1 plain / -1 negated,
+    both back to mode G).
 
     As in the signed-digit division, numerator layers are forced bottom-up,
     three constructors per layer and step.
     """
-    sd_neg_half_y = to_sd(half(negate(y)))
-    sd_pos_half_y = to_sd(half(y))
-
-    def aux(g: GrayG, sd_other: SdStream) -> GrayG:
-        return double(double(from_sd(sd_ops.average(to_sd(g), sd_other))))
-
-    def signs() -> Iterator:
-        layers: list[list] = []
-        top = x
-        in_g = True
-        while True:
-            layers.append([top, 0])
-            steps = len(layers)
-            for j, entry in enumerate(layers):
-                _advance(entry, 3 * (steps - j))
-            d, replacement = _leading_sign(top)
-            if d == 1:
-                nxt = aux(top, sd_neg_half_y)
-            elif d == -1:
-                nxt = aux(top, sd_pos_half_y)
-            else:
-                nxt = replacement
-            if in_g:
-                if d == 1:
-                    yield 1
-                    nxt = negate(nxt)
-                elif d == -1:
-                    yield -1
-                else:
-                    yield None
-                    in_g = False
-            else:
-                if d == 1:
-                    yield 1
-                    in_g = True
-                elif d == -1:
-                    yield -1
-                    nxt = negate(nxt)
-                    in_g = True
-                else:
-                    yield None
-            top = nxt
-
-    return gray_from_signs(signs())
+    return gray_from_signs(_divide(x, to_sd(half(negate(y))), to_sd(half(y))))
 
 
-def _advance(entry: list, target: int) -> None:
-    node, count = entry
-    while count < target:
-        node = node.force().rest
-        count += 1
-    entry[0] = node
-    entry[1] = count
+def _divide(top: GrayG, sd_neg_half_y: SdStream, sd_pos_half_y: SdStream) -> Iterator:
+    layers: list[GrayNode] = []
+    in_g = True
+    while True:
+        layers.append(top)
+        for j, node in enumerate(layers):
+            layers[j] = tail_at(node, 3)
+        d, top_doubled = _leading_sign(top)
+        if d == 0:
+            top = top_doubled
+        else:
+            # 2x' - d*y = 4 * average(x', -d*y/2), built on the SD side
+            other = sd_neg_half_y if d == 1 else sd_pos_half_y
+            top = double(double(from_sd(sd_ops.average(to_sd(top), other))))
+            if d == (1 if in_g else -1):
+                top = negate(top)
+        in_g = d != 0
+        yield d or None
 
 
 def from_sd(u: SdStream) -> GrayG:
@@ -319,47 +236,41 @@ def from_sd(u: SdStream) -> GrayG:
     branches and flips the flag, -1 branches plainly, 0 delays into mode H;
     in mode H the roles of +1 and -1 swap and delays stay in mode H.
     """
+    return gray_from_signs(_from_sd(u))
 
-    def signs() -> Iterator:
-        cell = u
-        flag = 1
-        in_g = True
-        while True:
-            cell = cell.force()
-            d = cell.head
-            if d == 0:
-                yield None
-                in_g = False
-            else:
-                fd = flag * d
-                if in_g:
-                    if fd == 1:
-                        flag = -flag
-                else:
-                    if fd == -1:
-                        flag = -flag
-                    in_g = True
-                yield fd
-            cell = cell.tail
 
-    return gray_from_signs(signs())
+def _from_sd(u: SdStream) -> Iterator:
+    flag = 1
+    in_g = True
+    while True:
+        u = u.force()
+        d = u.head
+        if d == 0:
+            yield None
+            in_g = False
+        else:
+            fd = flag * d
+            if fd == (1 if in_g else -1):
+                flag = -flag
+            in_g = True
+            yield fd
+        u = u.tail
 
 
 def to_sd(node: GrayNode) -> SdStream:
     """Inverse automaton of :func:`from_sd` (works from either mode)."""
+    return stream_from_digits(_to_sd(node))
 
-    def digits() -> Iterator[int]:
-        cur = node
-        flag = 1
-        while True:
-            cur = cur.force()
-            s = cur.sign
-            if s is None:
-                yield 0
-            else:
-                fs = flag * s
-                flag = -fs if cur.is_g else fs
-                yield fs
-            cur = cur.rest
 
-    return stream_from_digits(digits())
+def _to_sd(node: GrayNode) -> Iterator[int]:
+    flag = 1
+    while True:
+        node = node.force()
+        s = node.head
+        if s is None:
+            yield 0
+        else:
+            fs = flag * s
+            flag = -fs if node.is_g else fs
+            yield fs
+        node = node.tail

@@ -6,23 +6,32 @@ cell is what keeps the instrumented look-ahead linear instead of recomputing
 prefixes.  A cell is forced at most once; forcing is serialized by a global
 re-entrant lock so concurrent readers can share any forced prefix.
 
-Two codata shapes live here:
+Both codings are chains of one cell class, :class:`Cell`, a pair
+``(head, tail)`` once forced:
 
 * :class:`SdStream` -- an infinite stream of signed digits denoting
-  ``x = sum(d_k * 2**-k) in [-1, 1]``.
-* :class:`GrayG` / :class:`GrayH` -- mutually corecursive Gray-code nodes.
-  A ``GrayG`` is either a sign node (sign s, rest g) denoting
-  ``-s*(x_g - 1)/2`` or a delay node (rest h) denoting ``x_h/2``.  A
-  ``GrayH`` is either a sign node denoting ``s*(x_g + 1)/2`` or a delay
-  node denoting ``x_h/2``.
+  ``x = sum(d_k * 2**-k) in [-1, 1]``; ``head`` is the digit.
+* :class:`GrayG` / :class:`GrayH` -- mutually corecursive Gray-code nodes,
+  the mode being the class.  ``head`` is the sign +1/-1 of a sign node,
+  whose ``tail`` is mode G, or ``None`` for a delay node, whose ``tail`` is
+  mode H.  A ``GrayG`` sign node ``(s, g)`` denotes ``-s*(x_g - 1)/2``, a
+  ``GrayH`` sign node denotes ``s*(x_g + 1)/2``, and both delays denote
+  ``x_h/2``.
+
+Every automaton over these cells is a Python generator that takes its input
+cells as arguments and yields one output symbol per step.  One driver per
+coding, :func:`stream_from_digits` and :func:`gray_from_signs`, turns it
+into cells, resuming it once per forced cell.  A generator that returns
+``(head, tail)`` ends the chain with that cell, splicing ``tail`` in place
+of further output.  A generator drops each input cell once it has moved
+past it, so the forced prefix of an input is garbage as soon as every
+reader has moved on: memory grows with the live frontier, not the history.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, NamedTuple, Union
-
-from .digits import SignedDigit
+from typing import Any, Callable, Iterator, NamedTuple
 
 _FORCE_LOCK = threading.RLock()
 
@@ -33,82 +42,113 @@ class Splice(NamedTuple):
     stream: Any
 
 
-class SdStream:
-    """One cell of a lazy stream of signed digits.
+class Cell:
+    """One memoized cell of a lazy stream.
 
-    ``head``/``tail`` are plain attributes that become valid after
-    :meth:`force` (all helpers in this package force before reading).
+    ``head``/``tail`` are plain attributes that :meth:`force` sets; an
+    unforced cell has neither (all helpers in this package force before
+    reading).
     """
 
     __slots__ = ("head", "tail", "_thunk")
+    head: Any
+    tail: Any
 
-    def __init__(self, thunk: Callable[[], tuple[SignedDigit, "SdStream"]]):
-        self.head: SignedDigit = 0
-        self.tail: "SdStream" = None  # type: ignore[assignment]
+    def __init__(self, thunk: Callable[[], tuple[Any, "Cell"]]):
         self._thunk = thunk
 
     @classmethod
-    def cons(cls, digit: SignedDigit, tail: "SdStream") -> "SdStream":
+    def cons(cls, head: Any, tail: "Cell") -> "Cell":
+        """Already forced cell ``(head, tail)``."""
         cell = cls.__new__(cls)
-        cell.head = digit
+        cell.head = head
         cell.tail = tail
         cell._thunk = None
         return cell
 
     @classmethod
-    def constant(cls, digit: SignedDigit) -> "SdStream":
-        """Cyclic one-cell stream repeating ``digit`` forever (interned)."""
-        cell = _CONSTANT_STREAMS.get(digit)
+    def constant(cls, head: Any) -> "Cell":
+        """Cyclic one-cell stream repeating ``head`` forever (interned)."""
+        cell = _CONSTANTS.get((cls, head))
         if cell is None:
-            cell = cls.__new__(cls)
-            cell.head = digit
+            cell = cls.cons(head, None)
             cell.tail = cell
-            cell._thunk = None
-            _CONSTANT_STREAMS[digit] = cell
+            _CONSTANTS[cls, head] = cell
         return cell
 
     @classmethod
-    def defer(cls, make: Callable[[], "SdStream"]) -> "SdStream":
-        """Stream that delegates to ``make()`` on first force."""
+    def defer(cls, make: Callable[[], "Cell"]) -> "Cell":
+        """Cell that delegates to ``make()`` on first force."""
 
-        def thunk() -> tuple[SignedDigit, "SdStream"]:
+        def thunk() -> tuple[Any, Cell]:
             inner = make().force()
             return inner.head, inner.tail
 
         return cls(thunk)
 
-    def force(self) -> "SdStream":
+    def force(self) -> "Cell":
         if self._thunk is not None:
             with _FORCE_LOCK:
                 thunk = self._thunk
                 if thunk is not None:
-                    head, tail = thunk()
-                    self.head = head
-                    self.tail = tail
+                    self.head, self.tail = thunk()
                     self._thunk = None
         return self
 
-    def uncons(self) -> tuple[SignedDigit, "SdStream"]:
-        cell = self.force()
-        return cell.head, cell.tail
-
     def __repr__(self) -> str:  # pragma: no cover - debug display only
         if self._thunk is not None:
-            return "SdStream(<unforced>)"
-        return f"SdStream({self.head}, ...)"
+            return f"{type(self).__name__}(<unforced>)"
+        return f"{type(self).__name__}({self.head}, ...)"
 
 
-_CONSTANT_STREAMS: dict = {}
+_CONSTANTS: dict = {}
 
 
-# The recursive cell builders below live at module level on purpose: a
+class SdStream(Cell):
+    """One cell of a lazy stream of signed digits."""
+
+    __slots__ = ()
+
+
+class GrayNode(Cell):
+    """Gray-code node: sign node ``(s, rest_g)`` or delay ``(None, rest_h)``."""
+
+    __slots__ = ()
+    is_g: bool
+
+    @classmethod
+    def sign_node(cls, sign: int, rest: "GrayG") -> "GrayNode":
+        """Sign node ``(sign, rest)``; ``sign`` must be +1 or -1."""
+        if sign not in (-1, 1):
+            raise ValueError(f"not a proper digit: {sign!r}")
+        return cls.cons(sign, rest)
+
+
+class GrayG(GrayNode):
+    """Mode G: sign node ``(s, g)`` denotes ``-s*(x_g - 1)/2``, delay ``U``."""
+
+    __slots__ = ()
+    is_g = True
+
+
+class GrayH(GrayNode):
+    """Mode H: sign node ``(s, g)`` denotes ``s*(x_g + 1)/2``, delay ``D``."""
+
+    __slots__ = ()
+    is_g = False
+
+
+# The drivers' recursive cell builders live at module level on purpose: a
 # nested builder that mentions itself would close over its own cell and
 # form a reference cycle, pinning every stream it reaches until a cyclic
 # collection.  As globals, the whole forced pyramid dies by refcounting.
 
-def _iter_cell(pull: Callable[[], int]) -> SdStream:
-    def thunk() -> tuple[SignedDigit, SdStream]:
-        return pull(), _iter_cell(pull)
+def _sd_cell(pull: Callable[[], int]) -> SdStream:
+    def thunk() -> tuple[int, SdStream]:
+        try:
+            return pull(), _sd_cell(pull)
+        except StopIteration as stop:
+            return stop.value
 
     return SdStream(thunk)
 
@@ -117,22 +157,44 @@ def stream_from_digits(digits: Iterator[int]) -> SdStream:
     """Stream pulling one digit per forced cell from ``digits``.
 
     The iterator is advanced only when a new cell is forced, so generators
-    passed here stay as lazy as the corecursion they implement.
+    passed here stay as lazy as the corecursion they implement.  When a
+    generator returns ``(digit, tail)``, the cell being forced becomes that
+    pair and the stream continues with ``tail``.
     """
-    return _iter_cell(digits.__next__)
+    return _sd_cell(digits.__next__)
 
 
-def _unfold_sd_cell(step: Callable[[Any], tuple[SignedDigit, Any]], state: Any) -> SdStream:
-    def thunk() -> tuple[SignedDigit, SdStream]:
-        digit, nxt = step(state)
-        if type(nxt) is Splice:
-            return digit, nxt.stream
-        return digit, _unfold_sd_cell(step, nxt)
+def _gray_cell(pull: Callable[[], Any], cls: type) -> GrayNode:
+    def thunk() -> tuple[Any, GrayNode]:
+        try:
+            sign = pull()
+        except StopIteration as stop:
+            return stop.value
+        return sign, _gray_cell(pull, GrayH if sign is None else GrayG)
 
-    return SdStream(thunk)
+    return cls(thunk)
 
 
-def unfold_sd(seed: Any, step: Callable[[Any], tuple[SignedDigit, Any]]) -> SdStream:
+def gray_from_signs(signs: Iterator[Any], cls: type = GrayG) -> GrayNode:
+    """Assemble Gray nodes of class ``cls`` onward from a sign sequence.
+
+    ``None`` marks a delay.  Mode bookkeeping follows the constructor types:
+    the rest of a sign node is mode G, the rest of a delay node is mode H.
+    A returned ``(sign, rest)`` ends the chain as in
+    :func:`stream_from_digits`.
+    """
+    return _gray_cell(signs.__next__, cls)
+
+
+def _unfold(state: Any, step: Callable[[Any], tuple[int, Any]]) -> Iterator[int]:
+    while True:
+        digit, state = step(state)
+        if type(state) is Splice:
+            return digit, state.stream
+        yield digit
+
+
+def unfold_sd(seed: Any, step: Callable[[Any], tuple[int, Any]]) -> SdStream:
     """Corecursion operator for signed-digit streams.
 
     ``step`` maps a state to ``(digit, next)`` where ``next`` is either
@@ -140,10 +202,10 @@ def unfold_sd(seed: Any, step: Callable[[Any], tuple[SignedDigit, Any]]) -> SdSt
     corecursion -- or the next state.  ``step`` must be total on states
     reachable from ``seed``.
     """
-    return _unfold_sd_cell(step, seed)
+    return stream_from_digits(_unfold(seed, step))
 
 
-def take_prefix(u: SdStream, n: int) -> list[SignedDigit]:
+def take_prefix(u: SdStream, n: int) -> list[int]:
     """First ``n`` digits of ``u``; forces exactly ``n`` cells."""
     if n < 0:
         raise ValueError("prefix length must be >= 0")
@@ -156,8 +218,25 @@ def take_prefix(u: SdStream, n: int) -> list[SignedDigit]:
     return out
 
 
-def tail_at(u: SdStream, n: int) -> SdStream:
-    """The stream left after dropping the first ``n`` digits."""
+def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
+    """First ``n`` constructors as ``(mode, sign)`` pairs, forcing exactly n.
+
+    ``mode`` is ``"g"`` or ``"h"``; ``sign`` is +1/-1 or ``None`` for the
+    delay constructors.
+    """
+    if n < 0:
+        raise ValueError("prefix length must be >= 0")
+    out = []
+    cur = node
+    for _ in range(n):
+        cur = cur.force()
+        out.append(("g" if cur.is_g else "h", cur.head))
+        cur = cur.tail
+    return out
+
+
+def tail_at(u: Cell, n: int) -> Cell:
+    """The stream left after dropping the first ``n`` cells."""
     cell = u
     for _ in range(n):
         cell = cell.force().tail
@@ -173,210 +252,25 @@ class ForceCount:
         self.count = 0
 
 
-def _counted_sd_cell(counter: "ForceCount", cell: SdStream) -> SdStream:
-    def thunk() -> tuple[SignedDigit, SdStream]:
-        src = cell.force()
+def _counted(counter: ForceCount, cell: Cell) -> Iterator[Any]:
+    while True:
+        cell = cell.force()
         counter.count += 1
-        return src.head, _counted_sd_cell(counter, src.tail)
+        yield cell.head
+        cell = cell.tail
 
-    return SdStream(thunk)
 
-
-def with_force_count(u: SdStream) -> tuple[SdStream, ForceCount]:
+def with_force_count(u: Cell) -> tuple[Cell, ForceCount]:
     """Wrap ``u`` so the returned counter tracks constructors forced on it.
 
-    The wrapper behaves identically to ``u``; its own cells are memoized, so
-    re-reading a forced prefix does not inflate the tally.
+    Works on both codings.  The wrapper behaves identically to ``u``; its
+    own cells are memoized, so re-reading a forced prefix does not inflate
+    the tally.
     """
     counter = ForceCount()
-    return _counted_sd_cell(counter, u), counter
+    if isinstance(u, SdStream):
+        return stream_from_digits(_counted(counter, u)), counter
+    return gray_from_signs(_counted(counter, u), type(u)), counter
 
 
-class GrayG:
-    """Gray-code node in mode G: sign node ``(s, rest_g)`` or delay ``U(rest_h)``.
-
-    ``sign`` is +1/-1 for a sign node and ``None`` for the delay constructor;
-    ``rest`` is a ``GrayG`` under a sign node and a ``GrayH`` under a delay.
-    """
-
-    __slots__ = ("sign", "rest", "_thunk")
-    is_g = True
-
-    def __init__(self, thunk: Callable[[], tuple[Any, Any]]):
-        self.sign: Any = None
-        self.rest: Any = None
-        self._thunk = thunk
-
-    @classmethod
-    def sign_node(cls, sign: int, rest: "GrayG") -> "GrayG":
-        if sign not in (-1, 1):
-            raise ValueError(f"not a proper digit: {sign!r}")
-        node = cls.__new__(cls)
-        node.sign = sign
-        node.rest = rest
-        node._thunk = None
-        return node
-
-    @classmethod
-    def delay_node(cls, rest: "GrayH") -> "GrayG":
-        node = cls.__new__(cls)
-        node.sign = None
-        node.rest = rest
-        node._thunk = None
-        return node
-
-    @classmethod
-    def defer(cls, make: Callable[[], "GrayG"]) -> "GrayG":
-        def thunk() -> tuple[Any, Any]:
-            inner = make().force()
-            return inner.sign, inner.rest
-
-        return cls(thunk)
-
-    def force(self) -> "GrayG":
-        if self._thunk is not None:
-            with _FORCE_LOCK:
-                thunk = self._thunk
-                if thunk is not None:
-                    sign, rest = thunk()
-                    self.sign = sign
-                    self.rest = rest
-                    self._thunk = None
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug display only
-        if self._thunk is not None:
-            return "GrayG(<unforced>)"
-        return f"GrayG(sign={self.sign}, ...)"
-
-
-class GrayH:
-    """Gray-code node in mode H: sign node ``(s, rest_g)`` or delay ``D(rest_h)``."""
-
-    __slots__ = ("sign", "rest", "_thunk")
-    is_g = False
-
-    def __init__(self, thunk: Callable[[], tuple[Any, Any]]):
-        self.sign: Any = None
-        self.rest: Any = None
-        self._thunk = thunk
-
-    @classmethod
-    def sign_node(cls, sign: int, rest: GrayG) -> "GrayH":
-        if sign not in (-1, 1):
-            raise ValueError(f"not a proper digit: {sign!r}")
-        node = cls.__new__(cls)
-        node.sign = sign
-        node.rest = rest
-        node._thunk = None
-        return node
-
-    @classmethod
-    def delay_node(cls, rest: "GrayH") -> "GrayH":
-        node = cls.__new__(cls)
-        node.sign = None
-        node.rest = rest
-        node._thunk = None
-        return node
-
-    @classmethod
-    def defer(cls, make: Callable[[], "GrayH"]) -> "GrayH":
-        def thunk() -> tuple[Any, Any]:
-            inner = make().force()
-            return inner.sign, inner.rest
-
-        return cls(thunk)
-
-    def force(self) -> "GrayH":
-        if self._thunk is not None:
-            with _FORCE_LOCK:
-                thunk = self._thunk
-                if thunk is not None:
-                    sign, rest = thunk()
-                    self.sign = sign
-                    self.rest = rest
-                    self._thunk = None
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug display only
-        if self._thunk is not None:
-            return "GrayH(<unforced>)"
-        return f"GrayH(sign={self.sign}, ...)"
-
-
-GrayNode = Union[GrayG, GrayH]
-
-
-def _unfold_gray_cell(step_g, step_h, state: Any, in_g: bool) -> GrayNode:
-    def thunk() -> tuple[Any, Any]:
-        sign, nxt = (step_g if in_g else step_h)(state)
-        if type(nxt) is Splice:
-            return sign, nxt.stream
-        return sign, _unfold_gray_cell(step_g, step_h, nxt, sign is not None)
-
-    return GrayG(thunk) if in_g else GrayH(thunk)
-
-
-def unfold_gray(
-    seed: Any,
-    step_g: Callable[[Any], tuple[Any, Any]],
-    step_h: Callable[[Any], tuple[Any, Any]],
-    start_in_g: bool = True,
-) -> GrayNode:
-    """Simultaneous corecursion over the two Gray-code modes.
-
-    Each step maps a state to ``(sign, next)``.  A proper-digit sign emits a
-    sign node whose rest is mode G; ``sign is None`` emits a delay node whose
-    rest is mode H.  ``next`` is ``Splice(node)`` of the matching mode, or
-    the state handed to ``step_g``/``step_h`` accordingly.
-    """
-    return _unfold_gray_cell(step_g, step_h, seed, start_in_g)
-
-
-def _sign_cell(pull: Callable[[], Any], in_g: bool) -> GrayNode:
-    def thunk() -> tuple[Any, Any]:
-        s = pull()
-        return s, _sign_cell(pull, s is not None)
-
-    return GrayG(thunk) if in_g else GrayH(thunk)
-
-
-def gray_from_signs(signs: Iterator[Any], start_in_g: bool = True) -> GrayNode:
-    """Assemble Gray nodes from a sign sequence (``None`` marks a delay).
-
-    Mode bookkeeping follows the constructor types: the rest of a sign node
-    is mode G, the rest of a delay node is mode H.
-    """
-    return _sign_cell(signs.__next__, start_in_g)
-
-
-def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
-    """First ``n`` constructors as ``(mode, sign)`` pairs, forcing exactly n.
-
-    ``mode`` is ``"g"`` or ``"h"``; ``sign`` is +1/-1 or ``None`` for the
-    delay constructors.
-    """
-    if n < 0:
-        raise ValueError("prefix length must be >= 0")
-    out = []
-    cur = node
-    for _ in range(n):
-        cur = cur.force()
-        out.append(("g" if cur.is_g else "h", cur.sign))
-        cur = cur.rest
-    return out
-
-
-def _counted_gray_cell(counter: ForceCount, node: GrayNode, in_g: bool) -> GrayNode:
-    def thunk() -> tuple[Any, Any]:
-        src = node.force()
-        counter.count += 1
-        return src.sign, _counted_gray_cell(counter, src.rest, src.sign is not None)
-
-    return GrayG(thunk) if in_g else GrayH(thunk)
-
-
-def with_force_count_gray(node: GrayG) -> tuple[GrayG, ForceCount]:
-    """Gray analogue of :func:`with_force_count`."""
-    counter = ForceCount()
-    return _counted_gray_cell(counter, node, True), counter
+with_force_count_gray = with_force_count

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .kernel import SdStream, Splice, stream_from_digits, unfold_sd
+from .kernel import SdStream, stream_from_digits, tail_at
 
 
 def encode(a: Fraction) -> SdStream:
@@ -25,16 +25,20 @@ def encode(a: Fraction) -> SdStream:
     """
     if not -1 <= a <= 1:
         raise ValueError("not-in-unit-interval")
-    den = a.denominator
+    return stream_from_digits(_encode(a.numerator, a.denominator))
 
-    def step(num: int) -> tuple[int, int]:
+
+def _encode(num: int, den: int) -> Iterator[int]:
+    while True:
         if 4 * num >= den:
-            return 1, 2 * num - den
-        if 4 * num <= -den:
-            return -1, 2 * num + den
-        return 0, 2 * num
-
-    return unfold_sd(a.numerator, step)
+            yield 1
+            num = 2 * num - den
+        elif 4 * num <= -den:
+            yield -1
+            num = 2 * num + den
+        else:
+            yield 0
+            num = 2 * num
 
 
 def decode(u: SdStream, n: int) -> Fraction:
@@ -57,12 +61,14 @@ def one() -> SdStream:
 
 def negate(u: SdStream) -> SdStream:
     """Digitwise negation; denotes ``-x``."""
+    return stream_from_digits(_negate(u))
 
-    def step(cell: SdStream) -> tuple[int, SdStream]:
-        c = cell.force()
-        return -c.head, c.tail
 
-    return unfold_sd(u, step)
+def _negate(u: SdStream) -> Iterator[int]:
+    while True:
+        u = u.force()
+        yield -u.head
+        u = u.tail
 
 
 def half(u: SdStream) -> SdStream:
@@ -74,34 +80,28 @@ def add_one(u: SdStream) -> SdStream:
     """Denotes ``x + 1`` for ``x <= 0``.
 
     Digit equations: ``add_one(+1::u) = one()``, ``add_one(0::u) =
-    +1::add_one(u)``, ``add_one(-1::u) = +1::u``.
+    +1::add_one(u)``, ``add_one(-1::u) = +1::u``.  The first and the last
+    splice: the result shares the constant stream or ``u``.
     """
-
-    def step(cell: SdStream) -> tuple[int, object]:
-        c = cell.force()
-        d = c.head
-        if d == 0:
-            return 1, c.tail
-        if d == -1:
-            return 1, Splice(c.tail)
-        return 1, Splice(_ONE)
-
-    return unfold_sd(u, step)
+    return stream_from_digits(_shift(u, 1))
 
 
 def sub_one(u: SdStream) -> SdStream:
     """Denotes ``x - 1`` for ``x >= 0`` (mirror equations of add_one)."""
+    return stream_from_digits(_shift(u, -1))
 
-    def step(cell: SdStream) -> tuple[int, object]:
-        c = cell.force()
-        d = c.head
-        if d == 0:
-            return -1, c.tail
-        if d == 1:
-            return -1, Splice(c.tail)
-        return -1, Splice(_MINUS_ONE)
 
-    return unfold_sd(u, step)
+def _shift(u: SdStream, e: int) -> Iterator[int]:
+    """Digits of ``x + e``; ``e = +1`` needs ``x <= 0``, ``e = -1`` needs ``x >= 0``."""
+    while True:
+        u = u.force()
+        d = u.head
+        if d == -e:
+            return e, u.tail
+        if d == e:
+            return e, SdStream.constant(e)
+        yield e
+        u = u.tail
 
 
 def double(u: SdStream) -> SdStream:
@@ -132,29 +132,29 @@ def average(u: SdStream, v: SdStream) -> SdStream:
     else, and keeps carry ``k - 4d``.  The pending value is always
     ``(i + x' + y')/4``, which stays in [-1, 1].
     """
+    return stream_from_digits(_average(u, v))
 
-    def digits() -> Iterator[int]:
-        cu = u.force()
-        cv = v.force()
-        carry = cu.head + cv.head
-        cu = cu.tail
-        cv = cv.tail
-        while True:
-            cu = cu.force()
-            cv = cv.force()
-            k = 2 * carry + cu.head + cv.head
-            if k >= 2:
-                d = 1
-            elif k <= -2:
-                d = -1
-            else:
-                d = 0
-            carry = k - 4 * d
-            cu = cu.tail
-            cv = cv.tail
-            yield d
 
-    return stream_from_digits(digits())
+def _average(u: SdStream, v: SdStream) -> Iterator[int]:
+    u = u.force()
+    v = v.force()
+    carry = u.head + v.head
+    u = u.tail
+    v = v.tail
+    while True:
+        u = u.force()
+        v = v.force()
+        k = 2 * carry + u.head + v.head
+        if k >= 2:
+            d = 1
+        elif k <= -2:
+            d = -1
+        else:
+            d = 0
+        carry = k - 4 * d
+        u = u.tail
+        v = v.tail
+        yield d
 
 
 def twice_minus(u: SdStream, v: SdStream) -> SdStream:
@@ -185,45 +185,31 @@ def divide(u: SdStream, v: SdStream) -> SdStream:
     step, exactly the stated look-ahead) so that demanding a late digit
     never recurses through the whole tower of intermediate streams.
     """
-    neg_half_v = half(negate(v))
-    pos_half_v = half(v)
+    return stream_from_digits(_divide(u, half(negate(v)), half(v)))
 
-    def digits() -> Iterator[int]:
-        layers: list[list] = []
-        top = u
-        while True:
-            layers.append([top, 0])
-            steps = len(layers)
-            for j, entry in enumerate(layers):
-                _advance(entry, 3 * (steps - j))
-            c1 = top.force()
-            lead = c1.head
+
+def _divide(top: SdStream, neg_half_v: SdStream, pos_half_v: SdStream) -> Iterator[int]:
+    layers: list[SdStream] = []
+    while True:
+        layers.append(top)
+        for j, cell in enumerate(layers):
+            layers[j] = tail_at(cell, 3)
+        c1 = top.force()
+        lead = c1.head
+        if lead == 0:
+            c2 = c1.tail.force()
+            lead = c2.head
             if lead == 0:
-                c2 = c1.tail.force()
-                lead = c2.head
-                if lead == 0:
-                    lead = c2.tail.force().head
-            if lead == 1:
-                yield 1
-                top = double(double(average(top, neg_half_v)))
-            elif lead == -1:
-                yield -1
-                top = double(double(average(top, pos_half_v)))
-            else:
-                yield 0
-                top = double(top)
-
-    return stream_from_digits(digits())
-
-
-def _advance(entry: list, target: int) -> None:
-    cell, count = entry
-    while count < target:
-        cell = cell.force().tail
-        count += 1
-    entry[0] = cell
-    entry[1] = count
+                lead = c2.tail.force().head
+        if lead == 1:
+            yield 1
+            top = double(double(average(top, neg_half_v)))
+        elif lead == -1:
+            yield -1
+            top = double(double(average(top, pos_half_v)))
+        else:
+            yield 0
+            top = double(top)
 
 
 _ONE = SdStream.constant(1)
-_MINUS_ONE = SdStream.constant(-1)

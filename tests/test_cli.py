@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from streamreal.cli import (
     text_to_sd,
 )
 from tests.support import within
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +80,15 @@ def test_encode_range_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "encode", "3/2")
     assert code == 3
     assert "precondition violated" in err
+
+
+def test_non_positive_digits_exit_3(capsys):
+    for argv in (["encode", "1/2"], ["op", "avg", "1/2", "1/4", "--code", "gray"],
+                 ["div", "1/4", "1/2"]):
+        for digits in ("-3", "0"):
+            code, out, err = run_cli(capsys, *argv, "--digits", digits)
+            assert (code, out) == (3, "")
+            assert err == f"precondition violated: --digits >= 1 (--digits = {digits})\n"
 
 
 # --- op ----------------------------------------------------------------------
@@ -231,3 +246,16 @@ def test_run_report_omits_missing_counts():
     report = RunReport.build(3, None, None, 0.5, Fraction(0), Fraction(0))
     line = report.as_line()
     assert "u-forced" not in line and "v-forced" not in line
+
+
+# --- package ------------------------------------------------------------------
+
+def test_package_import_leaves_cli_out_and_module_run_is_quiet():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = "import sys, streamreal; print('argparse' in sys.modules)"
+    imported = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+    assert imported.stdout == "False\n"
+    run = subprocess.run([sys.executable, "-m", "streamreal.cli", "encode", "1/2"], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "+000000000000000\n", "")

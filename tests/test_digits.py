@@ -6,41 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamreal.digits import (
-    PROPER_DIGITS,
-    SIGNED_DIGITS,
-    as_proper_digit,
-    as_signed_digit,
-    compare,
-    format_rational,
-    make_fraction,
-    negate_digit,
-    parse_rational,
-)
+from streamreal.digits import format_rational, make_fraction, parse_rational
 
 fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
-
-
-def test_negate_digit_table():
-    assert negate_digit(1) == -1
-    assert negate_digit(0) == 0
-    assert negate_digit(-1) == 1
-
-
-@given(st.sampled_from(SIGNED_DIGITS))
-def test_negate_digit_involution(d):
-    assert negate_digit(negate_digit(d)) == d
-
-
-def test_digit_validation():
-    assert as_signed_digit(0) == 0
-    assert as_proper_digit(-1) == -1
-    with pytest.raises(ValueError):
-        as_signed_digit(2)
-    with pytest.raises(ValueError):
-        as_proper_digit(0)
-    assert 0 not in PROPER_DIGITS
 
 
 def test_make_fraction_normalizes():
@@ -54,17 +23,6 @@ def test_make_fraction_normalizes():
 def test_make_fraction_zero_denominator():
     with pytest.raises(ValueError, match="zero-denominator"):
         make_fraction(1, 0)
-
-
-def test_compare_table():
-    assert compare(Fraction(1, 3), Fraction(1, 2)) == -1
-    assert compare(Fraction(1, 2), Fraction(1, 2)) == 0
-    assert compare(Fraction(-1, 4), Fraction(-1, 2)) == 1
-
-
-@given(fractions, fractions)
-def test_compare_matches_order(a, b):
-    assert compare(a, b) == (a > b) - (a < b)
 
 
 @given(fractions, fractions)

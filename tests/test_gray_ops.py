@@ -70,8 +70,8 @@ def test_to_h_to_g_single_constructor_rewrite():
 
     delay = gray(0)  # leading delay node
     forced = delay.force()
-    assert gray_ops.to_h(delay).force().rest is forced.rest  # U(v) -> D(v), v shared
-    h_delay = GrayH.delay_node(forced.rest)
+    assert gray_ops.to_h(delay).force().tail is forced.tail  # U(v) -> D(v), v shared
+    h_delay = GrayH.cons(None, forced.tail)
     assert take_gray_prefix(gray_ops.to_g(h_delay), 3) == take_gray_prefix(delay, 3)
 
 
@@ -98,7 +98,7 @@ def test_shift_sign_cases_structure():
     g = GrayG.sign_node(1, gray_ops.one())
     up = gray_ops.shift(g, 1)
     assert take_gray_prefix(up, 1) == [("g", 1)]
-    assert within(gray_ops.decode(up.force().rest, 30), Fraction(-1), 30)
+    assert within(gray_ops.decode(up.force().tail, 30), Fraction(-1), 30)
     down = gray_ops.shift(g, -1)
     assert take_gray_prefix(down, 1) == [("g", -1)]
     assert within(gray_ops.decode(down, 30), Fraction(-1), 30)
@@ -118,12 +118,16 @@ def test_shift_oracle():
 
 
 def test_shift_h_oracle():
+    zero = GrayH.sign_node(1, gray(-1))  # leading +1 sign in mode H: x = 0
+    assert within(gray_ops.decode(gray_ops.shift(zero, 1), 40), Fraction(1), 40)
+    assert within(gray_ops.decode(gray_ops.shift(zero, -1), 40), Fraction(-1), 40)
     rng = random.Random(89)
     for _ in range(30):
         a = -abs(unit_fraction(rng))
         h = gray_ops.to_h(gray(a))
-        assert within(gray_ops.decode(gray_ops.shift_h(h, 1), 80), a + 1, 80)
-        assert within(gray_ops.decode(gray_ops.shift_h(h, -1), 80), -(a + 1), 80)
+        assert take_gray_prefix(gray_ops.shift(h, 1), 1)[0][0] == "h"
+        assert within(gray_ops.decode(gray_ops.shift(h, 1), 80), a + 1, 80)
+        assert within(gray_ops.decode(gray_ops.shift(h, -1), 80), -(a + 1), 80)
 
 
 def test_add_one_sub_one_oracle():
@@ -139,7 +143,7 @@ def test_add_one_sub_one_oracle():
 
 def test_double_delay_case_unwraps():
     g = gray(0)
-    v = g.force().rest
+    v = g.force().tail
     doubled = gray_ops.double(g)
     assert take_gray_prefix(doubled, 20) == take_gray_prefix(gray_ops.to_g(v), 20)
 
@@ -190,31 +194,6 @@ def test_twice_minus_twice_plus():
 
 
 # --- division ----------------------------------------------------------------------
-
-def test_div_step_examples():
-    d, rest = gray_ops.div_step(gray(HALF), gray(HALF))
-    assert d == 1
-    assert within(gray_ops.decode(rest, 60), HALF, 60)
-
-    d, rest = gray_ops.div_step(gray(0), gray(HALF))
-    assert d == 0
-    assert within(gray_ops.decode(rest, 60), Fraction(0), 60)
-    assert take_gray_prefix(rest, 2) == [("g", None), ("h", None)]
-
-    d, rest = gray_ops.div_step(gray(-QUARTER), gray(HALF))
-    assert d == -1
-    assert within(gray_ops.decode(rest, 60), Fraction(0), 60)
-
-
-def test_div_step_invariant_random():
-    rng = random.Random(113)
-    for _ in range(30):
-        x, y = division_pair(rng)
-        d, rest = gray_ops.div_step(gray(x), gray(y))
-        x_prime = 2 * x - d * y
-        assert abs(x_prime) <= y
-        assert within(gray_ops.decode(rest, 70), x_prime, 70)
-
 
 def test_divide_simple_and_deep():
     q = gray_ops.divide(gray(QUARTER), gray(HALF))

@@ -11,11 +11,9 @@ from streamreal.kernel import (
     GrayH,
     SdStream,
     Splice,
-    gray_from_signs,
     tail_at,
     take_gray_prefix,
     take_prefix,
-    unfold_gray,
     unfold_sd,
     with_force_count,
     with_force_count_gray,
@@ -121,24 +119,6 @@ def test_counter_tracks_division_inputs():
 def test_cons_and_constant():
     u = SdStream.cons(1, SdStream.constant(-1))
     assert take_prefix(u, 4) == [1, -1, -1, -1]
-
-
-def test_unfold_gray_constant_sign():
-    g = unfold_gray(None, lambda s: (1, s), lambda s: (None, s))
-    assert take_gray_prefix(g, 3) == [("g", 1), ("g", 1), ("g", 1)]
-
-
-def test_unfold_gray_all_delay_denotes_zero():
-    g = unfold_gray(None, lambda s: (None, s), lambda s: (None, s))
-    assert take_gray_prefix(g, 3) == [("g", None), ("h", None), ("h", None)]
-    assert gray_ops.decode(g, 10) == 0
-
-
-def test_unfold_gray_splice():
-    inner = gray_from_signs(iter([1] + [None] * 10))
-    g = unfold_gray(None, lambda s: (-1, Splice(inner)), lambda s: (None, s))
-    assert take_gray_prefix(g, 3) == [("g", -1), ("g", 1), ("g", None)]
-    assert g.force().rest is inner
 
 
 def test_gray_constructor_validation():
