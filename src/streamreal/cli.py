@@ -28,6 +28,8 @@ from .kernel import take_gray_prefix, take_prefix, with_force_count
 
 BENCH_NUMERATOR = Fraction(1001, 3001)
 BENCH_DENOMINATOR = Fraction(10001, 20001)
+BENCH_MIN_RUNS = 3
+BENCH_MIN_SECONDS = 0.2
 
 _SD_CHARS = {1: "+", 0: "0", -1: "-"}
 _SD_DIGITS = {"+": 1, "0": 0, "-": -1}
@@ -247,12 +249,27 @@ def _parse_digit_list(text: str) -> list[int]:
 
 
 def _time_division(n: int, code: str) -> float:
+    """Best time of the bench division to ``n`` symbols, over at least
+    ``BENCH_MIN_RUNS`` runs and ``BENCH_MIN_SECONDS`` of timed runs.
+
+    The best run leaves out what a process pays once, such as the division
+    tables that fill on first use, and most of the host's noise, which
+    would otherwise swamp the smallest counts.
+    """
     coding = CODINGS[code]
     ops = coding.ops
-    result = ops.divide(ops.encode(BENCH_NUMERATOR), ops.encode(BENCH_DENOMINATOR))
-    start = time.perf_counter()
-    coding.take(result, n)
-    return time.perf_counter() - start
+    best = math.inf
+    runs = 0
+    spent = 0.0
+    while runs < BENCH_MIN_RUNS or spent < BENCH_MIN_SECONDS:
+        result = ops.divide(ops.encode(BENCH_NUMERATOR), ops.encode(BENCH_DENOMINATOR))
+        start = time.perf_counter()
+        coding.take(result, n)
+        elapsed = time.perf_counter() - start
+        best = min(best, elapsed)
+        runs += 1
+        spent += elapsed
+    return best
 
 
 def _cmd_bench(args) -> int:
@@ -302,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--stats", action="store_true", help="append a run report line")
     p_div.set_defaults(func=_cmd_div)
 
-    p_bench = sub.add_parser("bench", help="time the division benchmark at growing digit counts")
+    p_bench = sub.add_parser("bench", help="time the division benchmark at growing digit counts "
+                                           "(best of at least 3 runs each)")
     p_bench.add_argument("--digits", default="10,100,1000",
                          help="comma-separated ascending digit counts")
     p_bench.add_argument("--code", choices=("sd", "gray"), default="sd")

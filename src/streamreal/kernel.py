@@ -143,12 +143,20 @@ class GrayH(GrayNode):
 # form a reference cycle, pinning every stream it reaches until a cyclic
 # collection.  As globals, the whole forced pyramid dies by refcounting.
 
+def _finished(stop: StopIteration) -> tuple[Any, Cell]:
+    """The spliced cell a generator returned; a generator that has already
+    raised is finished without one, and forcing its cells again fails."""
+    if stop.value is None:
+        raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
+    return stop.value
+
+
 def _sd_cell(pull: Callable[[], int]) -> SdStream:
     def thunk() -> tuple[int, SdStream]:
         try:
             return pull(), _sd_cell(pull)
         except StopIteration as stop:
-            return stop.value
+            return _finished(stop)
 
     return SdStream(thunk)
 
@@ -169,7 +177,7 @@ def _gray_cell(pull: Callable[[], Any], cls: type) -> GrayNode:
         try:
             sign = pull()
         except StopIteration as stop:
-            return stop.value
+            return _finished(stop)
         return sign, _gray_cell(pull, GrayH if sign is None else GrayG)
 
     return cls(thunk)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .kernel import SdStream, stream_from_digits, tail_at
+from .kernel import SdStream, stream_from_digits
 
 
 def encode(a: Fraction) -> SdStream:
@@ -181,35 +181,20 @@ def divide(u: SdStream, v: SdStream) -> SdStream:
     patterns emit -1 and continue on ``2x + y``.  Producing n digits reads
     at most ``3n`` digits of ``u`` and ``3n - 1`` digits of ``v``.
 
-    The numerator layers are forced bottom-up (three digits per layer and
-    step, exactly the stated look-ahead) so that demanding a late digit
-    never recurses through the whole tower of intermediate streams.
+    Numerator layer j + 1 is ``double(double(average(x_j, -+y/2)))`` or
+    ``double(x_j)`` of layer j, the streams :func:`twice_minus`,
+    :func:`twice_plus` and :func:`double` build, but no layer is a stream:
+    each is one small-int state of its digit automata.  Every output digit
+    reads three digits of ``u`` and passes them up the tower as one 3-digit
+    code, one memoized table lookup per layer, and takes its digit from the
+    top layer's code.  Layer j reads ``y/2`` at a position fixed by j and
+    the step until its automata splice onto a constant, and a digit of ``v``
+    is forced when the first layer reads it, so both inputs are forced
+    exactly as far as a tower of memoized streams would force them.
     """
-    return stream_from_digits(_divide(u, half(negate(v)), half(v)))
+    from .sd_tower import quotient_digits  # loaded by the first division, not the package
 
-
-def _divide(top: SdStream, neg_half_v: SdStream, pos_half_v: SdStream) -> Iterator[int]:
-    layers: list[SdStream] = []
-    while True:
-        layers.append(top)
-        for j, cell in enumerate(layers):
-            layers[j] = tail_at(cell, 3)
-        c1 = top.force()
-        lead = c1.head
-        if lead == 0:
-            c2 = c1.tail.force()
-            lead = c2.head
-            if lead == 0:
-                lead = c2.tail.force().head
-        if lead == 1:
-            yield 1
-            top = double(double(average(top, neg_half_v)))
-        elif lead == -1:
-            yield -1
-            top = double(double(average(top, pos_half_v)))
-        else:
-            yield 0
-            top = double(top)
+    return stream_from_digits(quotient_digits(u, v))
 
 
 _ONE = SdStream.constant(1)

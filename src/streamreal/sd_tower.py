@@ -1,0 +1,255 @@
+"""The numerator tower of the signed-digit division as a flat state vector.
+
+:func:`streamreal.sd_ops.divide` runs :func:`quotient_digits` and imports
+this module on its first call.  Numerator layer j + 1 of the division is
+``double(double(average(x_j, -+y/2)))`` or ``double(x_j)`` of layer j; here
+each layer is one interned small-int state of those automata, whose
+transitions are composed from one-digit step functions of the average's
+carry rule and the ``double``/``_shift`` equations of :mod:`sd_ops` and
+memoized in tables that fill on first use.  Any change to those automata
+must be made here too; ``tests/test_divide_tower.py`` checks the two
+against each other digit by digit.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterator, Sequence
+
+from .kernel import SdStream
+
+
+def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
+    """One digit pair through the carry automaton of ``sd_ops.average``."""
+    if carry is None:
+        return a + b, None
+    k = 2 * carry + a + b
+    d = 1 if k >= 2 else -1 if k <= -2 else 0
+    return k - 4 * d, d
+
+
+def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
+    """One input digit through ``sd_ops.double`` and the ``_shift`` it becomes.
+
+    States: ``"dispatch"`` before the first digit, ``"copy"`` after
+    ``double(0::u) = u`` or a splice onto the input, ``("add", e)`` while
+    shifting by ``e`` and ``("const", e)`` once spliced onto the constant
+    stream of ``e``, which reads no more input.
+    """
+    if state == "dispatch":
+        return ("copy" if d == 0 else ("add", d)), None
+    if state == "copy":
+        return state, d
+    e = state[1]
+    if d == -e:
+        return "copy", e
+    if d == e:
+        return ("const", e), e
+    return state, e
+
+
+def _hold_step(held: int | None, d: int) -> tuple[int, int | None]:
+    """One digit through a one-digit hold: keep ``d``, release the last."""
+    return d, held
+
+
+def _is_const(state: Any) -> bool:
+    return type(state) is tuple and state[0] == "const"
+
+
+def _layer_step(state: tuple, a: int, h: int) -> tuple[tuple, int | None]:
+    """One step of a numerator layer in ``state`` (see :class:`_Layers`):
+    it reads digit ``a`` of the layer below and digit ``h`` of y/2 unless
+    its automata have spliced onto a constant.  Returns the next state and
+    the digit the layer emits, if any."""
+    kind, s0, s1, s2 = state
+    x: int | None
+    if _is_const(s2):
+        return state, s2[1]
+    if kind and _is_const(s1):
+        x = s1[1]
+    elif kind:
+        s0, x = _average_step(s0, a, -kind * h)
+        if x is not None:
+            s1, x = _double_step(s1, x)
+    else:
+        s0, x = _hold_step(s0, a)
+        if x is not None:
+            s1, x = _hold_step(s1, x)
+    if x is not None:
+        s2, x = _double_step(s2, x)
+    return (kind, s0, s1, s2), x
+
+
+def _digits3(code: int) -> tuple[int, int, int]:
+    """The digits ``d0 d1 d2`` packed as the code ``9*d0 + 3*d1 + d2 + 13``."""
+    return code // 9 - 1, code // 3 % 3 - 1, code % 3 - 1
+
+
+_NO_DIGITS = 13  # the code of 0 0 0, passed where a layer reads no y/2
+
+
+class _Layers:
+    """Interned numerator layer states and their memoized transitions.
+
+    A layer state is ``(kind, s0, s1, s2)``.  ``kind`` is the quotient digit
+    that made the layer: +1 for ``2x - y``, -1 for ``2x + y``, 0 for ``2x``.
+    For ``kind != 0`` the stages are the average's carry (``None`` before
+    the first pair) and the inner and outer double; for ``kind == 0`` they
+    are two one-digit holds and the double.  Either way a new layer reads
+    three digits before it emits one and from then on emits digit i of its
+    own after reading digit i + 3 of the layer below, as the stream tower
+    does, so every layer moves by whole 3-digit codes.  Only such primed
+    states are interned.  A state whose automata have spliced onto a
+    constant reads nothing more and forgets the stages below the constant.
+    The tables fill on first use.  Divisions step only while a cell is
+    being forced, under the kernel's force lock, so the tables need no lock
+    of their own.
+    """
+
+    def __init__(self) -> None:
+        self.states: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.reads_y: list[bool] = []  # per state: its next step reads y/2
+        # (state * 9 + 3 * below + half_y + 4) -> (state, emitted digit)
+        self.step1: list[tuple[int, int] | None] = []
+        # ((state * 27 + code below) * 27 + code of y/2) -> (state, code emitted)
+        self.step3: list[tuple[int, int] | None] = []
+        self.steps: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each entry
+        self.primed: dict[tuple[int, int, int], int] = {}
+
+    def intern(self, state: tuple) -> int:
+        kind, _, s1, s2 = state
+        if _is_const(s2):
+            state = (0, None, None, s2)
+        elif kind and _is_const(s1):
+            state = (kind, None, s1, s2)
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+            kind, _, s1, s2 = state
+            self.reads_y.append(bool(kind) and not (_is_const(s1) or _is_const(s2)))
+            self.step1.extend([None] * 9)
+            self.step3.extend([None] * 729)
+        return sid
+
+    def prime(self, kind: int, below: int, h: int) -> int:
+        """The state of a new layer of ``kind`` after its first three digit
+        pairs: the code ``below`` and, for ``kind != 0``, the code ``h`` of
+        y/2."""
+        key = (kind, below, h)
+        primed = self.primed.get(key)
+        if primed is None:
+            state = (kind, None, "dispatch", "dispatch") if kind else (0, None, None, "dispatch")
+            for a, b in zip(_digits3(below), _digits3(h)):
+                state, _ = _layer_step(state, a, b)
+            primed = self.primed[key] = self.intern(state)
+        return primed
+
+    def digit(self, sid: int, a: int, h: int) -> tuple[int, int]:
+        """One step of the primed state ``sid``, which emits a digit."""
+        index = sid * 9 + 3 * a + h + 4
+        step = self.step1[index]
+        if step is None:
+            state, x = _layer_step(self.states[sid], a, h)
+            step = self.step1[index] = (self.intern(state), x)
+        return step
+
+    def advance(self, sid: int, below: int, half_y: Sequence[int],
+                start: int) -> tuple[int, int]:
+        """Three digits from state ``sid`` over the code ``below``, reading
+        ``half_y`` from ``start`` only as far as the layer does."""
+        code = 0
+        for i, a in enumerate(_digits3(below)):
+            sid, x = self.digit(sid, a, half_y[start + i] if self.reads_y[sid] else 0)
+            code = 3 * code + x + 1
+        return sid, code
+
+    def fill(self, key: int) -> tuple[int, int]:
+        """The three-digit step ``step3[key]``, composed of one-digit steps."""
+        sid, codes = divmod(key, 729)
+        below, h = divmod(codes, 27)
+        step = self.advance(sid, below, _digits3(h), 0)
+        step = self.step3[key] = self.steps.setdefault(step, step)
+        return step
+
+
+_LAYERS = _Layers()
+
+
+class _HalfY:
+    """Digits of ``y/2 = 0 :: y``, each forced from ``v`` when first read.
+
+    ``codes[c]`` packs digits ``3c .. 3c + 2`` once all three are known.
+    """
+
+    __slots__ = ("cell", "digits", "codes")
+
+    def __init__(self, v: SdStream):
+        self.cell = v
+        self.digits = [0]
+        self.codes: list[int] = []
+
+    def __getitem__(self, p: int) -> int:
+        """Digit ``p``; the digits are read in order, so ``p`` is at most
+        one past the last digit read."""
+        digits = self.digits
+        if p == len(digits):
+            cell = self.cell.force()
+            digits.append(cell.head)
+            self.cell = cell.tail
+            if p % 3 == 2:
+                self.codes.append(9 * digits[-3] + 3 * digits[-2] + cell.head + 13)
+        return digits[p]
+
+    def code(self, c: int) -> int:
+        """``codes[c]``, reading its digits first if need be."""
+        while len(self.codes) <= c:
+            self[len(self.digits)]
+        return self.codes[c]
+
+
+def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
+    """The digits of ``sd_ops.divide(u, v)``."""
+    layers = _LAYERS
+    reads_y = layers.reads_y
+    step3 = layers.step3
+    fill = layers.fill
+    half_y = _HalfY(v)
+    codes = half_y.codes
+    # states[j] is numerator layer j >= 1; layer 0 is u itself
+    states = [0]
+    below_top = kind = k = 0
+    while True:
+        u = u.force()
+        d0 = u.head
+        u = u.tail.force()
+        d1 = u.head
+        u = u.tail.force()
+        code = 9 * d0 + 3 * d1 + u.head + 13
+        u = u.tail
+        if k:
+            # layer k, of the kind the last digit chose, first reads the code
+            # its layer below had at the last step
+            states.append(layers.prime(kind, below_top, half_y.code(0) if kind else _NO_DIGITS))
+        # At step k layer j reads the code of layer j - 1 and chunk k - j + 1
+        # of y/2.  The lowest layers may need a chunk not read yet: a layer
+        # that reads y/2 then steps digit by digit and forces v only as far
+        # as it reads, and one that does not takes its step with any code.
+        j = 1
+        while j <= k and k - j + 1 >= len(codes):
+            sid = states[j]
+            if reads_y[sid]:
+                states[j], code = layers.advance(sid, code, half_y, 3 * (k - j + 1))
+            else:
+                key = (sid * 27 + code) * 27 + _NO_DIGITS
+                states[j], code = step3[key] or fill(key)
+            j += 1
+        for j, h in enumerate(codes[k - j + 1:0:-1], j):
+            key = (states[j] * 27 + code) * 27 + h
+            states[j], code = step3[key] or fill(key)
+        below_top = code
+        top = _digits3(code)
+        kind = top[0] or top[1] or top[2]
+        k += 1
+        yield kind

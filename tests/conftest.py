@@ -7,9 +7,10 @@ import pytest
 
 @pytest.fixture(autouse=True, scope="session")
 def _reference_counting_only():
-    # The stream pyramids keep millions of acyclic cells alive; generational
-    # GC rescans them constantly and dominates the heavy tests.  Reference
-    # counting reclaims everything the suite allocates.
+    # The suite allocates millions of acyclic cells (Gray division towers,
+    # reference stream towers, deep expressions); generational GC rescans
+    # the live ones on every collection and dominates the heavy tests.
+    # Reference counting reclaims everything the suite allocates.
     was_enabled = gc.isenabled()
     gc.disable()
     yield

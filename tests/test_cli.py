@@ -252,10 +252,20 @@ def test_run_report_omits_missing_counts():
 
 def test_package_import_leaves_cli_out_and_module_run_is_quiet():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    probe = "import sys, streamreal; print('argparse' in sys.modules)"
+    probe = ("import sys, streamreal; "
+             "print('argparse' in sys.modules, 'streamreal.cli' in sys.modules)")
     imported = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-    assert imported.stdout == "False\n"
-    run = subprocess.run([sys.executable, "-m", "streamreal.cli", "encode", "1/2"], env=env,
+    assert imported.stdout == "False False\n"
+    for module in ("streamreal.cli", "streamreal"):
+        run = subprocess.run([sys.executable, "-m", module, "encode", "1/2"], env=env,
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "+000000000000000\n", ""), module
+
+
+def test_package_module_run_passes_exit_codes():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-m", "streamreal", "div", "1/2", "1/8"], env=env,
                          capture_output=True, text=True)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "+000000000000000\n", "")
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr.startswith("precondition violated: 1/4 <= y")

@@ -146,3 +146,15 @@ def test_gray_counter():
     assert counter.count == 6
     take_gray_prefix(g, 6)
     assert counter.count == 6
+
+
+@pytest.mark.parametrize("code, depth", [("sd", 400), ("gray", 200)])
+def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
+    ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
+    x = ops.encode(Fraction(1, 3))
+    for _ in range(depth):
+        x = ops.average(x, ops.encode(Fraction(-1, 5)))
+    with pytest.raises(RecursionError):
+        take(x, 3)
+    with pytest.raises(RuntimeError, match="stream failed earlier"):
+        take(x, 3)
