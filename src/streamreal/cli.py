@@ -28,7 +28,6 @@ from .kernel import take_gray_prefix, take_prefix, with_force_count
 
 BENCH_NUMERATOR = Fraction(1001, 3001)
 BENCH_DENOMINATOR = Fraction(10001, 20001)
-BENCH_MIN_RUNS = 3
 BENCH_MIN_SECONDS = 0.2
 
 _SD_CHARS = {1: "+", 0: "0", -1: "-"}
@@ -249,27 +248,24 @@ def _parse_digit_list(text: str) -> list[int]:
 
 
 def _time_division(n: int, code: str) -> float:
-    """Best time of the bench division to ``n`` symbols, over at least
-    ``BENCH_MIN_RUNS`` runs and ``BENCH_MIN_SECONDS`` of timed runs.
+    """Median time of the bench division to ``n`` symbols (the upper
+    median of an even number of runs).
 
-    The best run leaves out what a process pays once, such as the division
-    tables that fill on first use, and most of the host's noise, which
-    would otherwise swamp the smallest counts.
+    The division runs until ``BENCH_MIN_SECONDS`` of timed runs have passed,
+    at least once, so a count that takes longer is timed once and a short
+    one is not left to the host's noise.  The first run in a process also
+    pays for what is done once, such as loading the signed-digit tower and
+    filling its tables; at a short count the median leaves that out too.
     """
     coding = CODINGS[code]
     ops = coding.ops
-    best = math.inf
-    runs = 0
-    spent = 0.0
-    while runs < BENCH_MIN_RUNS or spent < BENCH_MIN_SECONDS:
+    times: list[float] = []
+    while sum(times) < BENCH_MIN_SECONDS:
         result = ops.divide(ops.encode(BENCH_NUMERATOR), ops.encode(BENCH_DENOMINATOR))
         start = time.perf_counter()
         coding.take(result, n)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        runs += 1
-        spent += elapsed
-    return best
+        times.append(time.perf_counter() - start)
+    return sorted(times)[len(times) // 2]
 
 
 def _cmd_bench(args) -> int:
@@ -320,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.set_defaults(func=_cmd_div)
 
     p_bench = sub.add_parser("bench", help="time the division benchmark at growing digit counts "
-                                           "(best of at least 3 runs each)")
+                                           "(median of the runs that fill 0.2 s, at least one)")
     p_bench.add_argument("--digits", default="10,100,1000",
                          help="comma-separated ascending digit counts")
     p_bench.add_argument("--code", choices=("sd", "gray"), default="sd")
