@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
-and the stream-tower division that the flat tower is checked against."""
+and the stream-tower divisions that the library's divisions are checked
+against."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from streamreal import sd_ops
-from streamreal.kernel import SdStream, stream_from_digits, tail_at
+from streamreal import gray_ops, sd_ops
+from streamreal.kernel import GrayG, GrayH, SdStream, gray_from_signs, stream_from_digits, tail_at
 
 
 def sd(digits, pad=0):
@@ -71,3 +72,58 @@ def _reference_divide(top: SdStream, neg_half_v: SdStream, pos_half_v: SdStream)
         else:
             yield 0
             top = sd_ops.double(top)
+
+
+def _gray_leading_sign(x: GrayG) -> tuple[int, GrayG | None]:
+    """Classify the sign of ``x`` from up to three constructors.
+
+    Returns ``(+1, None)`` / ``(-1, None)`` when a sign node appears among
+    the first three constructors, else ``(0, code of 2x)`` for the all-delay
+    prefix (there ``|x| <= 1/8``, so doubling is represented by stripping
+    one delay).
+    """
+    c = x.force()
+    if c.head is not None:
+        return c.head, None
+    h1 = c.tail.force()
+    if h1.head is not None:
+        return h1.head, None
+    h2 = h1.tail.force()
+    if h2.head is not None:
+        return h2.head, None
+    return 0, GrayG.cons(None, GrayH.cons(None, h2.tail))
+
+
+def reference_gray_divide(x: GrayG, y: GrayG) -> GrayG:
+    """``gray_ops.divide`` with every numerator layer a memoized Gray stream.
+
+    The quotient digit d comes from the sign of the numerator ``x'`` within
+    three constructors, and the next numerator is ``2x' - d*y``, built as
+    ``double(double(from_sd(average(to_sd(x'), -d*y/2))))``, or ``2x'`` for
+    d = 0.  Mode G emits +1 as a sign node over the negated numerator and -1
+    over the numerator itself, and 0 as a delay into mode H; mode H mirrors
+    the two signs.  All layers are forced bottom-up, three constructors per
+    layer and output symbol.
+    """
+    neg_half_y = gray_ops.to_sd(gray_ops.half(gray_ops.negate(y)))
+    return gray_from_signs(_reference_gray_divide(x, neg_half_y, gray_ops.to_sd(gray_ops.half(y))))
+
+
+def _reference_gray_divide(top: GrayG, sd_neg_half_y: SdStream, sd_pos_half_y: SdStream) -> Iterator:
+    layers: list = []
+    in_g = True
+    while True:
+        layers.append(top)
+        for j, node in enumerate(layers):
+            layers[j] = tail_at(node, 3)
+        d, top_doubled = _gray_leading_sign(top)
+        if d == 0:
+            top = top_doubled
+        else:
+            # 2x' - d*y = 4 * average(x', -d*y/2), built on the SD side
+            other = sd_neg_half_y if d == 1 else sd_pos_half_y
+            top = gray_ops.double(gray_ops.double(gray_ops.from_sd(sd_ops.average(gray_ops.to_sd(top), other))))
+            if d == (1 if in_g else -1):
+                top = gray_ops.negate(top)
+        in_g = d != 0
+        yield d or None

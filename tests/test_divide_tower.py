@@ -1,9 +1,10 @@
-"""The flat numerator tower of ``sd_ops.divide`` against the stream tower.
+"""Both divisions against the towers of memoized stream layers.
 
-``tests.support.reference_divide`` keeps every numerator layer as a
-memoized stream and forces the layers bottom-up.  After every output digit
-the flat tower must have emitted the same digits and forced exactly as many
-digits of each input.
+``tests.support.reference_divide`` and ``reference_gray_divide`` keep every
+numerator layer as a memoized stream and force the layers bottom-up.  After
+every output symbol the library's division must have emitted the same
+symbol, in the same Gray mode, and forced exactly as many symbols of each
+input.
 """
 
 from __future__ import annotations
@@ -13,32 +14,49 @@ from fractions import Fraction
 
 import pytest
 
-from streamreal import sd_ops
+from streamreal import gray_ops, sd_ops
 from streamreal.kernel import with_force_count
-from tests.support import division_pair, reference_divide
+from tests.support import division_pair, reference_divide, reference_gray_divide, sd
 
 DIGITS = 150
+NON_CANONICAL_DIGITS = 80
 F = Fraction
+TOWERS = {"sd": (sd_ops, reference_divide), "gray": (gray_ops, reference_gray_divide)}
 
 
-def _walk(divide, x: Fraction, y: Fraction, n: int) -> list[tuple[int, int, int]]:
-    """(digit, u forced, v forced) after each of the first n output digits."""
-    u, cu = with_force_count(sd_ops.encode(x))
-    v, cv = with_force_count(sd_ops.encode(y))
+def _walk(divide, u, v, n: int) -> list[tuple[type, object, int, int]]:
+    """(cell class, symbol, u forced, v forced) after each of the first n
+    output symbols."""
+    u, cu = with_force_count(u)
+    v, cv = with_force_count(v)
     cell = divide(u, v)
     out = []
     for _ in range(n):
         cell = cell.force()
-        out.append((cell.head, cu.count, cv.count))
+        out.append((type(cell), cell.head, cu.count, cv.count))
         cell = cell.tail
     return out
 
 
-def test_seeded_pairs_match_stream_tower():
+def _agree(code: str, x: Fraction, y: Fraction, n: int = DIGITS) -> bool:
+    ops, reference = TOWERS[code]
+    u, v = ops.encode(x), ops.encode(y)
+    return _walk(ops.divide, u, v, n) == _walk(reference, u, v, n)
+
+
+def _seeded_pairs_agree(code: str) -> None:
     rng = random.Random(20261018)
     for _ in range(200):
         x, y = division_pair(rng)
-        assert _walk(sd_ops.divide, x, y, DIGITS) == _walk(reference_divide, x, y, DIGITS), (x, y)
+        assert _agree(code, x, y), (x, y)
+
+
+def test_seeded_pairs_match_stream_tower():
+    _seeded_pairs_agree("sd")
+
+
+def test_gray_seeded_pairs_match_stream_tower():
+    _seeded_pairs_agree("gray")
 
 
 EDGE_PAIRS = [
@@ -59,11 +77,31 @@ EDGE_PAIRS = [
 
 @pytest.mark.parametrize("x, y", EDGE_PAIRS, ids=lambda a: str(a))
 def test_edge_pairs_match_stream_tower(x, y):
-    assert _walk(sd_ops.divide, x, y, DIGITS) == _walk(reference_divide, x, y, DIGITS)
+    assert _agree("sd", x, y)
+
+
+@pytest.mark.parametrize("x, y", EDGE_PAIRS, ids=lambda a: str(a))
+def test_gray_edge_pairs_match_stream_tower(x, y):
+    assert _agree("gray", x, y)
+
+
+def test_non_canonical_gray_pairs_match_stream_tower():
+    # Gray codes of SD streams that the encoder never writes: any digits
+    # for up to 8 places, then a constant; no precondition is imposed.
+    rng = random.Random(20261019)
+
+    def code():
+        prefix = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 8))]
+        return gray_ops.from_sd(sd(prefix, rng.choice((-1, 0, 1))))
+
+    for _ in range(300):
+        x, y = code(), code()
+        ours = _walk(gray_ops.divide, x, y, NON_CANONICAL_DIGITS)
+        assert ours == _walk(reference_gray_divide, x, y, NON_CANONICAL_DIGITS)
 
 
 def test_splice_stops_reading_v():
     # v is read to digit 8 and no further, in both towers
-    walk = _walk(sd_ops.divide, F(1), F(63, 64), 40)
-    assert [v for _, _, v in walk][-30:] == [8] * 30
-    assert [u for _, u, _ in walk] == [3 * n for n in range(1, 41)]
+    walk = _walk(sd_ops.divide, sd_ops.encode(F(1)), sd_ops.encode(F(63, 64)), 40)
+    assert [v for _, _, _, v in walk][-30:] == [8] * 30
+    assert [u for _, _, u, _ in walk] == [3 * n for n in range(1, 41)]
