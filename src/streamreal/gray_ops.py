@@ -1,12 +1,13 @@
 """Gray-code (binary reflected) stream arithmetic on reals in [-1, 1].
 
 The operation set mirrors :mod:`streamreal.sd_ops`; conversions between the
-two codings are denotation-preserving automata, and the average is routed
-through the signed-digit automaton.  Sign-node semantics: a mode-G node
-``(s, g)`` denotes ``-s*(x_g - 1)/2`` (the reflected branch), a mode-H node
-``(s, g)`` denotes ``s*(x_g + 1)/2``, and both delay constructors halve.
-The mode of a node is its class; :func:`negate` and :func:`shift` work in
-either mode and keep it.
+two codings are denotation-preserving automata, mutually inverse symbol for
+symbol, and the average and the division are routed through the
+signed-digit ones.  Sign-node semantics: a mode-G node ``(s, g)`` denotes
+``-s*(x_g - 1)/2`` (the reflected branch), a mode-H node ``(s, g)``
+denotes ``s*(x_g + 1)/2``, and both delay constructors halve.  The mode of
+a node is its class; :func:`negate` and :func:`shift` work in either mode
+and keep it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import sd_ops
-from .kernel import GrayG, GrayH, GrayNode, SdStream, gray_from_signs, stream_from_digits, tail_at
+from .kernel import GrayG, GrayH, GrayNode, SdStream, gray_from_signs, stream_from_digits
 
 _MINUS_ONE = GrayG.constant(-1)
 _ONE = GrayG.sign_node(1, _MINUS_ONE)
@@ -170,62 +171,22 @@ def twice_plus(a: GrayG, b: GrayG) -> GrayG:
     return double(double(average(a, half(b))))
 
 
-def _leading_sign(x: GrayG) -> tuple[int, GrayG | None]:
-    """Classify the sign of ``x`` from up to three constructors.
-
-    Returns ``(+1, None)`` / ``(-1, None)`` when a sign node appears among
-    the first three constructors, else ``(0, code of 2x)`` for the all-delay
-    prefix (there ``|x| <= 1/8``, so doubling is represented by stripping
-    one delay).
-    """
-    c = x.force()
-    if c.head is not None:
-        return c.head, None
-    h1 = c.tail.force()
-    if h1.head is not None:
-        return h1.head, None
-    h2 = h1.tail.force()
-    if h2.head is not None:
-        return h2.head, None
-    return 0, GrayG.cons(None, GrayH.cons(None, h2.tail))
-
-
 def divide(x: GrayG, y: GrayG) -> GrayG:
     """Denotes ``x/y`` under ``1/4 <= y`` and ``|x| <= y``.
 
-    One digit per step, as in the signed-digit division: the sign of the
-    numerator ``x'`` from up to three constructors gives the digit d, and
-    the next numerator is ``2x' - y`` (d = +1), ``2x' + y`` (d = -1) or
-    ``2x'`` (d = 0).  The digit maps onto constructors mode by mode.  Mode
-    G: +1 emits a sign node and continues (mode G) on the negated
-    numerator, -1 continues on the numerator itself, 0 emits the delay and
-    switches to mode H.  Mode H is the mirror image (+1 plain / -1 negated,
-    both back to mode G).
-
-    As in the signed-digit division, numerator layers are forced bottom-up,
-    three constructors per layer and step.
+    This is the signed-digit division read through the conversions:
+    ``from_sd(sd_ops.divide(to_sd(x), to_sd(y)))``.  The identity is exact,
+    symbol for symbol and mode for mode, not only in value: :func:`from_sd`
+    and :func:`to_sd` are mutually inverse automata, and each Gray layer
+    operation of the division (:func:`negate`, :func:`half`,
+    :func:`double`, :func:`average`) is its signed-digit counterpart
+    conjugated by them.  So the Gray tower of numerator layers is the
+    signed-digit tower conjugated by the conversions, and running the flat
+    signed-digit tower between one conversion per input symbol read and one
+    per output symbol emits the same constructors and reads ``x`` and ``y``
+    exactly as far.
     """
-    return gray_from_signs(_divide(x, to_sd(half(negate(y))), to_sd(half(y))))
-
-
-def _divide(top: GrayG, sd_neg_half_y: SdStream, sd_pos_half_y: SdStream) -> Iterator:
-    layers: list[GrayNode] = []
-    in_g = True
-    while True:
-        layers.append(top)
-        for j, node in enumerate(layers):
-            layers[j] = tail_at(node, 3)
-        d, top_doubled = _leading_sign(top)
-        if d == 0:
-            top = top_doubled
-        else:
-            # 2x' - d*y = 4 * average(x', -d*y/2), built on the SD side
-            other = sd_neg_half_y if d == 1 else sd_pos_half_y
-            top = double(double(from_sd(sd_ops.average(to_sd(top), other))))
-            if d == (1 if in_g else -1):
-                top = negate(top)
-        in_g = d != 0
-        yield d or None
+    return from_sd(sd_ops.divide(to_sd(x), to_sd(y)))
 
 
 def from_sd(u: SdStream) -> GrayG:

@@ -243,14 +243,6 @@ def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
     return out
 
 
-def tail_at(u: Cell, n: int) -> Cell:
-    """The stream left after dropping the first ``n`` cells."""
-    cell = u
-    for _ in range(n):
-        cell = cell.force().tail
-    return cell
-
-
 class ForceCount:
     """Shared monotone tally of cells forced through a counting wrapper."""
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import GrayG, GrayH, SdStream, gray_from_signs, stream_from_digits, tail_at
+from streamreal.kernel import Cell, GrayG, GrayH, SdStream, gray_from_signs, stream_from_digits
 
 
 def sd(digits, pad=0):
@@ -38,6 +38,14 @@ def division_pair(rng: random.Random, max_den: int = 1000) -> tuple[Fraction, Fr
     scale = rng.randint(1, max_den)
     x = y * Fraction(rng.randint(-scale, scale), scale)
     return x, y
+
+
+def tail_at(u: Cell, n: int) -> Cell:
+    """The stream left after dropping the first ``n`` cells."""
+    cell = u
+    for _ in range(n):
+        cell = cell.force().tail
+    return cell
 
 
 def reference_divide(u: SdStream, v: SdStream) -> SdStream:

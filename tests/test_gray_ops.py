@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import GrayG, GrayH, take_gray_prefix, take_prefix
+from streamreal.kernel import GrayG, GrayH, SdStream, gray_from_signs, take_gray_prefix, take_prefix
 from tests.support import division_pair, sd, unit_fraction, within
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+SYMBOLS = 60
 
 
 def gray(a) -> GrayG:
@@ -246,6 +248,39 @@ def test_conversion_roundtrip_bound():
         for n in (5, 40):
             gap = abs(sd_ops.decode(round_tripped, n) - sd_ops.decode(u, n))
             assert gap <= Fraction(2, 1 << n)
+
+
+def _random_sd(rng: random.Random) -> SdStream:
+    """Any digits for up to 10 places, then a constant: mostly streams the
+    encoder never writes, and mostly outside the ops' preconditions."""
+    prefix = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 10))]
+    return sd(prefix, rng.choice((-1, 0, 1)))
+
+
+def test_conversions_are_mutually_inverse_exactly():
+    rng = random.Random(149)
+    for _ in range(300):
+        u = _random_sd(rng)
+        assert take_prefix(gray_ops.to_sd(gray_ops.from_sd(u)), SYMBOLS) == take_prefix(u, SYMBOLS)
+        # a mode-G code from any symbols: signs, delays, then one repeated
+        symbols = [rng.choice((-1, None, 1)) for _ in range(rng.randint(0, 10))]
+        g = gray_from_signs(itertools.chain(symbols, itertools.repeat(rng.choice((-1, None, 1)))))
+        back = gray_ops.from_sd(gray_ops.to_sd(g))
+        assert take_gray_prefix(back, SYMBOLS) == take_gray_prefix(g, SYMBOLS)
+
+
+def test_gray_ops_are_sd_ops_conjugated_by_the_conversions_exactly():
+    # to_sd(op(from_sd(u))) is op(u) symbol for symbol, with or without the
+    # op's precondition; the Gray division relies on it for every layer.
+    rng = random.Random(151)
+    for _ in range(300):
+        u, v = _random_sd(rng), _random_sd(rng)
+        g, h = gray_ops.from_sd(u), gray_ops.from_sd(v)
+        pairs = [(sd_ops.average(u, v), gray_ops.average(g, h))]
+        pairs += [(getattr(sd_ops, name)(u), getattr(gray_ops, name)(g))
+                  for name in ("negate", "half", "double")]
+        for sd_out, gray_out in pairs:
+            assert take_prefix(gray_ops.to_sd(gray_out), SYMBOLS) == take_prefix(sd_out, SYMBOLS)
 
 
 def test_cross_coding_commutation():

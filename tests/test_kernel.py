@@ -11,14 +11,13 @@ from streamreal.kernel import (
     GrayH,
     SdStream,
     Splice,
-    tail_at,
     take_gray_prefix,
     take_prefix,
     unfold_sd,
     with_force_count,
     with_force_count_gray,
 )
-from tests.support import sd, unit_fraction, within
+from tests.support import sd, tail_at, unit_fraction, within
 
 
 def test_unfold_constant():
