@@ -20,6 +20,13 @@ def sd(digits, pad=0):
     return stream
 
 
+def random_sd(rng: random.Random, max_prefix: int) -> SdStream:
+    """``sd(prefix, pad)`` with any digits for up to ``max_prefix`` places and
+    any pad: mostly streams the encoder never writes."""
+    prefix = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, max_prefix))]
+    return sd(prefix, rng.choice((-1, 0, 1)))
+
+
 def within(value: Fraction, target: Fraction, n: int) -> bool:
     """|value - target| <= 2**-n."""
     return abs(value - target) <= Fraction(1, 1 << n)

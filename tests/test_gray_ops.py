@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import GrayG, GrayH, SdStream, gray_from_signs, take_gray_prefix, take_prefix
-from tests.support import division_pair, sd, unit_fraction, within
+from streamreal.kernel import GrayG, GrayH, gray_from_signs, take_gray_prefix, take_prefix
+from tests.support import division_pair, random_sd, sd, unit_fraction, within
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -250,17 +250,10 @@ def test_conversion_roundtrip_bound():
             assert gap <= Fraction(2, 1 << n)
 
 
-def _random_sd(rng: random.Random) -> SdStream:
-    """Any digits for up to 10 places, then a constant: mostly streams the
-    encoder never writes, and mostly outside the ops' preconditions."""
-    prefix = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 10))]
-    return sd(prefix, rng.choice((-1, 0, 1)))
-
-
 def test_conversions_are_mutually_inverse_exactly():
     rng = random.Random(149)
     for _ in range(300):
-        u = _random_sd(rng)
+        u = random_sd(rng, 10)
         assert take_prefix(gray_ops.to_sd(gray_ops.from_sd(u)), SYMBOLS) == take_prefix(u, SYMBOLS)
         # a mode-G code from any symbols: signs, delays, then one repeated
         symbols = [rng.choice((-1, None, 1)) for _ in range(rng.randint(0, 10))]
@@ -270,11 +263,12 @@ def test_conversions_are_mutually_inverse_exactly():
 
 
 def test_gray_ops_are_sd_ops_conjugated_by_the_conversions_exactly():
-    # to_sd(op(from_sd(u))) is op(u) symbol for symbol, with or without the
-    # op's precondition; the Gray division relies on it for every layer.
+    # to_sd(op(from_sd(u))) is op(u) symbol for symbol, on streams the
+    # encoder never writes and outside the op's precondition too; the Gray
+    # division relies on it for every layer.
     rng = random.Random(151)
     for _ in range(300):
-        u, v = _random_sd(rng), _random_sd(rng)
+        u, v = random_sd(rng, 10), random_sd(rng, 10)
         g, h = gray_ops.from_sd(u), gray_ops.from_sd(v)
         pairs = [(sd_ops.average(u, v), gray_ops.average(g, h))]
         pairs += [(getattr(sd_ops, name)(u), getattr(gray_ops, name)(g))
