@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
-and the stream-tower divisions that the library's divisions are checked
-against."""
+a per-symbol walk of an operation's output, and the reference
+implementations that the library is checked against: the stream-tower
+divisions and the direct Gray-code equations."""
 
 from __future__ import annotations
 
@@ -9,7 +10,16 @@ from fractions import Fraction
 from typing import Iterator
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import Cell, GrayG, GrayH, SdStream, gray_from_signs, stream_from_digits
+from streamreal.kernel import (
+    Cell,
+    GrayG,
+    GrayH,
+    GrayNode,
+    SdStream,
+    gray_from_signs,
+    stream_from_digits,
+    with_force_count,
+)
 
 
 def sd(digits, pad=0):
@@ -45,6 +55,20 @@ def division_pair(rng: random.Random, max_den: int = 1000) -> tuple[Fraction, Fr
     scale = rng.randint(1, max_den)
     x = y * Fraction(rng.randint(-scale, scale), scale)
     return x, y
+
+
+def walk(op, inputs, n: int) -> list[tuple]:
+    """(cell class, symbol, forced count of each input) after each of the
+    first n output symbols of ``op(*inputs)``, every input read through its
+    own force counter."""
+    counted = [with_force_count(x) for x in inputs]
+    cell = op(*[stream for stream, _ in counted])
+    out = []
+    for _ in range(n):
+        cell = cell.force()
+        out.append((type(cell), cell.head, *[counter.count for _, counter in counted]))
+        cell = cell.tail
+    return out
 
 
 def tail_at(u: Cell, n: int) -> Cell:
@@ -137,8 +161,72 @@ def _reference_gray_divide(top: GrayG, sd_neg_half_y: SdStream, sd_pos_half_y: S
         else:
             # 2x' - d*y = 4 * average(x', -d*y/2), built on the SD side
             other = sd_neg_half_y if d == 1 else sd_pos_half_y
-            top = gray_ops.double(gray_ops.double(gray_ops.from_sd(sd_ops.average(gray_ops.to_sd(top), other))))
+            top = gray_ops.from_sd(sd_ops.average(gray_ops.to_sd(top), other))
+            top = reference_gray_double(reference_gray_double(top))
             if d == (1 if in_g else -1):
-                top = gray_ops.negate(top)
+                top = reference_gray_negate(top)
         in_g = d != 0
         yield d or None
+
+
+# The direct Gray-code equations (Tsuiki, *Real number computation through
+# Gray code embedding*, TCS 2002; Berger, Miyamoto, Schwichtenberg and
+# Tsuiki, *Logic for Gray-code computation*, 2016).  ``gray_ops`` runs the
+# signed-digit automata between the two conversions instead; these are the
+# reference it is compared with, symbol, mode and forced count.
+
+def reference_gray_negate(node: GrayNode) -> GrayNode:
+    """Denotes ``-x`` in the mode of ``node``: flip the sign node's sign,
+    recurse through delays."""
+
+    def thunk() -> tuple:
+        c = node.force()
+        if c.head is not None:
+            return -c.head, c.tail
+        return None, reference_gray_negate(c.tail)
+
+    return type(node)(thunk)
+
+
+def reference_gray_switch_mode(node: GrayNode, cls: type) -> GrayNode:
+    """The ``to_h``/``to_g`` rewrite: a sign node keeps its sign and negates
+    its continuation, a delay switches delay flavour."""
+
+    def thunk() -> tuple:
+        c = node.force()
+        if c.head is not None:
+            return c.head, reference_gray_negate(c.tail)
+        return None, c.tail
+
+    return cls(thunk)
+
+
+def reference_gray_shift(node: GrayNode, direction: int) -> GrayNode:
+    """For ``x <= 0``: code of ``x + 1`` (direction +1) or ``-(x + 1)`` (-1),
+    in the mode of ``node``."""
+    end = -1 if node.is_g else 1
+
+    def thunk() -> tuple:
+        c = node.force()
+        s = c.head
+        if s == 1:
+            return direction, GrayG.constant(-1) if end == -1 else gray_ops.one()
+        if s == -1:
+            return direction, reference_gray_negate(c.tail)
+        return direction, reference_gray_shift(reference_gray_switch_mode(c.tail, GrayG), end)
+
+    return type(node)(thunk)
+
+
+def reference_gray_double(g: GrayG) -> GrayG:
+    """Denotes ``2x`` for ``|x| <= 1/2``: a sign node hands its negated
+    continuation to the shift, a delay node unwraps to mode G."""
+
+    def select() -> GrayG:
+        c = g.force()
+        s = c.head
+        if s is None:
+            return reference_gray_switch_mode(c.tail, GrayG)
+        return reference_gray_shift(reference_gray_negate(c.tail), s)
+
+    return GrayG.defer(select)

@@ -15,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import with_force_count
-from tests.support import division_pair, random_sd, reference_divide, reference_gray_divide
+from tests.support import division_pair, random_sd, reference_divide, reference_gray_divide, walk
 
 DIGITS = 150
 NON_CANONICAL_DIGITS = 80
@@ -24,24 +23,10 @@ F = Fraction
 TOWERS = {"sd": (sd_ops, reference_divide), "gray": (gray_ops, reference_gray_divide)}
 
 
-def _walk(divide, u, v, n: int) -> list[tuple[type, object, int, int]]:
-    """(cell class, symbol, u forced, v forced) after each of the first n
-    output symbols."""
-    u, cu = with_force_count(u)
-    v, cv = with_force_count(v)
-    cell = divide(u, v)
-    out = []
-    for _ in range(n):
-        cell = cell.force()
-        out.append((type(cell), cell.head, cu.count, cv.count))
-        cell = cell.tail
-    return out
-
-
 def _agree(code: str, x: Fraction, y: Fraction) -> bool:
     ops, reference = TOWERS[code]
     u, v = ops.encode(x), ops.encode(y)
-    return _walk(ops.divide, u, v, DIGITS) == _walk(reference, u, v, DIGITS)
+    return walk(ops.divide, (u, v), DIGITS) == walk(reference, (u, v), DIGITS)
 
 
 def _seeded_pairs_agree(code: str) -> None:
@@ -92,12 +77,12 @@ def test_non_canonical_gray_pairs_match_stream_tower():
     for _ in range(300):
         x = gray_ops.from_sd(random_sd(rng, 8))
         y = gray_ops.from_sd(random_sd(rng, 8))
-        ours = _walk(gray_ops.divide, x, y, NON_CANONICAL_DIGITS)
-        assert ours == _walk(reference_gray_divide, x, y, NON_CANONICAL_DIGITS)
+        ours = walk(gray_ops.divide, (x, y), NON_CANONICAL_DIGITS)
+        assert ours == walk(reference_gray_divide, (x, y), NON_CANONICAL_DIGITS)
 
 
 def test_splice_stops_reading_v():
     # v is read to digit 8 and no further, in both towers
-    walk = _walk(sd_ops.divide, sd_ops.encode(F(1)), sd_ops.encode(F(63, 64)), 40)
-    assert [v for _, _, _, v in walk][-30:] == [8] * 30
-    assert [u for _, _, u, _ in walk] == [3 * n for n in range(1, 41)]
+    walk_out = walk(sd_ops.divide, (sd_ops.encode(F(1)), sd_ops.encode(F(63, 64))), 40)
+    assert [v for _, _, _, v in walk_out][-30:] == [8] * 30
+    assert [u for _, _, u, _ in walk_out] == [3 * n for n in range(1, 41)]

@@ -6,7 +6,18 @@ from fractions import Fraction
 
 from streamreal import gray_ops, sd_ops
 from streamreal.kernel import GrayG, GrayH, gray_from_signs, take_gray_prefix, take_prefix
-from tests.support import division_pair, random_sd, sd, unit_fraction, within
+from tests.support import (
+    division_pair,
+    random_sd,
+    reference_gray_double,
+    reference_gray_negate,
+    reference_gray_shift,
+    reference_gray_switch_mode,
+    sd,
+    unit_fraction,
+    walk,
+    within,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -262,19 +273,44 @@ def test_conversions_are_mutually_inverse_exactly():
         assert take_gray_prefix(back, SYMBOLS) == take_gray_prefix(g, SYMBOLS)
 
 
+# gray_ops op -> the same op built from the direct Gray equations
+REFERENCE_OPS_G = {
+    "negate": (gray_ops.negate, reference_gray_negate),
+    "shift+1": (lambda x: gray_ops.shift(x, 1), lambda x: reference_gray_shift(x, 1)),
+    "shift-1": (lambda x: gray_ops.shift(x, -1), lambda x: reference_gray_shift(x, -1)),
+    "add_one": (gray_ops.add_one, lambda x: reference_gray_shift(x, 1)),
+    "sub_one": (gray_ops.sub_one, lambda x: reference_gray_shift(reference_gray_negate(x), -1)),
+    "half": (gray_ops.half, lambda x: GrayG.cons(None, reference_gray_switch_mode(x, GrayH))),
+    "double": (gray_ops.double, reference_gray_double),
+    "to_h": (gray_ops.to_h, lambda x: reference_gray_switch_mode(x, GrayH)),
+}
+REFERENCE_OPS_H = {
+    "negate": (gray_ops.negate, reference_gray_negate),
+    "shift+1": (lambda x: gray_ops.shift(x, 1), lambda x: reference_gray_shift(x, 1)),
+    "shift-1": (lambda x: gray_ops.shift(x, -1), lambda x: reference_gray_shift(x, -1)),
+    "to_g": (gray_ops.to_g, lambda x: reference_gray_switch_mode(x, GrayG)),
+}
+
+
 def test_gray_ops_are_sd_ops_conjugated_by_the_conversions_exactly():
     # to_sd(op(from_sd(u))) is op(u) symbol for symbol, on streams the
     # encoder never writes and outside the op's precondition too; the Gray
-    # division relies on it for every layer.
+    # division relies on it for every layer.  Each Gray op also matches the
+    # direct Gray equations node class, symbol and input forced count, after
+    # every symbol, on mode-G and mode-H codes.
     rng = random.Random(151)
     for _ in range(300):
         u, v = random_sd(rng, 10), random_sd(rng, 10)
         g, h = gray_ops.from_sd(u), gray_ops.from_sd(v)
-        pairs = [(sd_ops.average(u, v), gray_ops.average(g, h))]
+        pairs = [(sd_ops.average(u, v), gray_ops.average(g, h)), (u, gray_ops.to_h(g))]
         pairs += [(getattr(sd_ops, name)(u), getattr(gray_ops, name)(g))
                   for name in ("negate", "half", "double")]
         for sd_out, gray_out in pairs:
             assert take_prefix(gray_ops.to_sd(gray_out), SYMBOLS) == take_prefix(sd_out, SYMBOLS)
+        mode_h = reference_gray_switch_mode(gray_ops.from_sd(v), GrayH)
+        for x, ops in ((g, REFERENCE_OPS_G), (mode_h, REFERENCE_OPS_H)):
+            for name, (op, reference) in ops.items():
+                assert walk(op, (x,), SYMBOLS) == walk(reference, (x,), SYMBOLS), name
 
 
 def test_cross_coding_commutation():
