@@ -33,7 +33,9 @@ def from_rational(a: Fraction) -> CReal:
 def from_stream(u: SdStream) -> CReal:
     """Stream-backed real: ``a_n = decode(u, n)``, ``M(p) = p``.
 
-    The Cauchy invariant follows from the 2**-n decode bound.
+    The Cauchy invariant follows from the 2**-n decode bound.  The real
+    keeps ``u`` alive on purpose: every approximation re-reads it from the
+    first digit, which the memoized cells make cheap.
     """
     return CReal(approx=lambda n: sd_ops.decode(u, n), modulus=lambda p: p)
 

@@ -1,13 +1,22 @@
 """Gray-code (binary reflected) stream arithmetic on reals in [-1, 1].
 
-The operation set mirrors :mod:`streamreal.sd_ops`; conversions between the
-two codings are denotation-preserving automata, mutually inverse symbol for
-symbol, and the average and the division are routed through the
-signed-digit ones.  Sign-node semantics: a mode-G node ``(s, g)`` denotes
-``-s*(x_g - 1)/2`` (the reflected branch), a mode-H node ``(s, g)``
-denotes ``s*(x_g + 1)/2``, and both delay constructors halve.  The mode of
-a node is its class; :func:`negate` and :func:`shift` work in either mode
-and keep it.
+Sign-node semantics: a mode-G node ``(s, g)`` denotes ``-s*(x_g - 1)/2``
+(the reflected branch), a mode-H node ``(s, g)`` denotes
+``s*(x_g + 1)/2``, and both delay constructors halve.  The mode of a node
+is its class.
+
+The Gray coding is a view of the signed-digit coding.  :func:`from_sd` and
+:func:`to_sd` are denotation-preserving automata, mutually inverse symbol
+for symbol, and every Gray operation is its :mod:`streamreal.sd_ops`
+counterpart between them, ``from_sd(sd_ops.op(to_sd(x), ...))``.  The
+conjugation is exact: it emits the constructors, modes included, and reads
+the inputs exactly as far as the direct Gray equations (Tsuiki 2002;
+Berger, Miyamoto, Schwichtenberg and Tsuiki 2016) do.  :func:`negate` and
+:func:`shift` work in either mode and keep it.  :func:`to_sd` of a code
+that an operation built and nobody has forced yet is the signed-digit
+stream the code was built from, so a chain of Gray operations runs as the
+chain of signed-digit ones with one conversion at each end.  Only the
+conversions and the :func:`to_h`/:func:`to_g` rewrite read Gray nodes.
 """
 
 from __future__ import annotations
@@ -18,8 +27,7 @@ from typing import Iterator
 from . import sd_ops
 from .kernel import GrayG, GrayH, GrayNode, SdStream, gray_from_signs, stream_from_digits
 
-_MINUS_ONE = GrayG.constant(-1)
-_ONE = GrayG.sign_node(1, _MINUS_ONE)
+_ONE = GrayG.sign_node(1, GrayG.constant(-1))
 
 
 def one() -> GrayG:
@@ -59,20 +67,10 @@ def decode(node: GrayNode, n: int) -> Fraction:
 
 
 def negate(node: GrayNode) -> GrayNode:
-    """Denotes ``-x`` in the mode of ``node``: flip the sign node's sign,
-    recurse through delays.
-
-    The continuation under a sign node is untouched -- both branch maps are
-    reflections of each other around 0, so only the choice of branch flips.
-    """
-
-    def thunk() -> tuple:
-        c = node.force()
-        if c.head is not None:
-            return -c.head, c.tail
-        return None, negate(c.tail)
-
-    return type(node)(thunk)
+    """Denotes ``-x`` in the mode of ``node``: the signed-digit negation
+    between the conversions, ``from_sd(sd_ops.negate(to_sd(x)))`` with the
+    from-SD automaton started in that mode."""
+    return _from_sd_in(type(node), sd_ops.negate(to_sd(node)))
 
 
 def _switch_mode(node: GrayNode, cls: type) -> GrayNode:
@@ -101,91 +99,55 @@ def to_g(h: GrayH) -> GrayG:
 
 def shift(node: GrayNode, direction: int) -> GrayNode:
     """For ``x <= 0``: code of ``x + 1`` (direction +1) or ``-(x + 1)`` (-1),
-    in the mode of ``node``.
-
-    Equations: a leading +1 sign forces ``x = 0`` and yields ``direction``
-    over the constant code that makes a sign node of this mode denote
-    ``direction`` (-1 in mode G, +1 in mode H); a leading -1 sign yields
-    ``(direction, negate(rest))``; a delay node re-enters through the shift
-    of the mode-G rewrite of its continuation, with direction -1 in mode G
-    and +1 in mode H.
-    """
-    end = -1 if node.is_g else 1
-
-    def thunk() -> tuple:
-        c = node.force()
-        s = c.head
-        if s == 1:
-            return direction, _MINUS_ONE if end == -1 else _ONE
-        if s == -1:
-            return direction, negate(c.tail)
-        return direction, shift(to_g(c.tail), end)
-
-    return type(node)(thunk)
+    in the mode of ``node``: the signed-digit ``add_one``, negated for
+    direction -1, between the conversions."""
+    u = sd_ops.add_one(to_sd(node))
+    return _from_sd_in(type(node), u if direction == 1 else sd_ops.negate(u))
 
 
 def add_one(g: GrayG) -> GrayG:
-    """Denotes ``x + 1`` for ``x <= 0``."""
-    return shift(g, 1)
+    """Denotes ``x + 1`` for ``x <= 0``: ``from_sd(sd_ops.add_one(to_sd(x)))``."""
+    return from_sd(sd_ops.add_one(to_sd(g)))
 
 
 def sub_one(g: GrayG) -> GrayG:
-    """Denotes ``x - 1`` for ``x >= 0``."""
-    return shift(negate(g), -1)
+    """Denotes ``x - 1`` for ``x >= 0``: ``from_sd(sd_ops.sub_one(to_sd(x)))``."""
+    return from_sd(sd_ops.sub_one(to_sd(g)))
 
 
 def half(g: GrayG) -> GrayG:
-    """Denotes ``x/2``: one delay constructor over the mode-H rewrite."""
-    return GrayG.cons(None, to_h(g))
+    """Denotes ``x/2``: ``from_sd(sd_ops.half(to_sd(x)))``, one delay
+    constructor over the mode-H code of ``x``."""
+    return from_sd(sd_ops.half(to_sd(g)))
 
 
 def double(g: GrayG) -> GrayG:
-    """Denotes ``2x`` for ``|x| <= 1/2``.
-
-    A sign node hands its negated continuation to :func:`shift` (the range
-    bound puts that continuation below 0); a delay node unwraps to mode G.
-    """
-
-    def select() -> GrayG:
-        c = g.force()
-        s = c.head
-        if s is None:
-            return to_g(c.tail)
-        return shift(negate(c.tail), s)
-
-    return GrayG.defer(select)
+    """Denotes ``2x`` for ``|x| <= 1/2``: ``from_sd(sd_ops.double(to_sd(x)))``."""
+    return from_sd(sd_ops.double(to_sd(g)))
 
 
 def average(a: GrayG, b: GrayG) -> GrayG:
-    """Denotes ``(x + y)/2``, routed through the signed-digit automaton."""
+    """Denotes ``(x + y)/2``: ``from_sd(sd_ops.average(to_sd(x), to_sd(y)))``."""
     return from_sd(sd_ops.average(to_sd(a), to_sd(b)))
 
 
 def twice_minus(a: GrayG, b: GrayG) -> GrayG:
-    """Denotes ``2x - y`` under ``1/4 <= y``, ``0 <= x <= y``."""
-    return double(double(average(a, half(negate(b)))))
+    """Denotes ``2x - y`` under ``1/4 <= y``, ``0 <= x <= y``:
+    ``from_sd(sd_ops.twice_minus(to_sd(x), to_sd(y)))``."""
+    return from_sd(sd_ops.twice_minus(to_sd(a), to_sd(b)))
 
 
 def twice_plus(a: GrayG, b: GrayG) -> GrayG:
-    """Denotes ``2x + y`` under ``1/4 <= y``, ``-y <= x <= 0``."""
-    return double(double(average(a, half(b))))
+    """Denotes ``2x + y`` under ``1/4 <= y``, ``-y <= x <= 0``:
+    ``from_sd(sd_ops.twice_plus(to_sd(x), to_sd(y)))``."""
+    return from_sd(sd_ops.twice_plus(to_sd(a), to_sd(b)))
 
 
 def divide(x: GrayG, y: GrayG) -> GrayG:
-    """Denotes ``x/y`` under ``1/4 <= y`` and ``|x| <= y``.
-
-    This is the signed-digit division read through the conversions:
-    ``from_sd(sd_ops.divide(to_sd(x), to_sd(y)))``.  The identity is exact,
-    symbol for symbol and mode for mode, not only in value: :func:`from_sd`
-    and :func:`to_sd` are mutually inverse automata, and each Gray layer
-    operation of the division (:func:`negate`, :func:`half`,
-    :func:`double`, :func:`average`) is its signed-digit counterpart
-    conjugated by them.  So the Gray tower of numerator layers is the
-    signed-digit tower conjugated by the conversions, and running the flat
-    signed-digit tower between one conversion per input symbol read and one
-    per output symbol emits the same constructors and reads ``x`` and ``y``
-    exactly as far.
-    """
+    """Denotes ``x/y`` under ``1/4 <= y`` and ``|x| <= y``:
+    ``from_sd(sd_ops.divide(to_sd(x), to_sd(y)))``, which emits the same
+    constructors and reads ``x`` and ``y`` as far as a tower of Gray
+    numerator layers would."""
     return from_sd(sd_ops.divide(to_sd(x), to_sd(y)))
 
 
@@ -196,13 +158,34 @@ def from_sd(u: SdStream) -> GrayG:
     digitwise negation of the remaining stream: in mode G an effective +1
     branches and flips the flag, -1 branches plainly, 0 delays into mode H;
     in mode H the roles of +1 and -1 swap and delays stay in mode H.
+    :func:`to_sd` of the result, read before its head is forced, is ``u``.
     """
-    return gray_from_signs(_from_sd(u))
+    return _from_sd_in(GrayG, u)
 
 
-def _from_sd(u: SdStream) -> Iterator:
+class _Source:
+    """Thunk of a built head cell: runs the real thunk and keeps the
+    signed-digit stream ``u`` read, for :func:`to_sd` to hand back."""
+
+    __slots__ = ("u", "thunk")
+
+    def __init__(self, u: SdStream, thunk) -> None:
+        self.u = u
+        self.thunk = thunk
+
+    def __call__(self) -> tuple:
+        return self.thunk()
+
+
+def _from_sd_in(cls: type, u: SdStream) -> GrayNode:
+    """The from-SD automaton started in the mode of ``cls``, flag 1."""
+    head = gray_from_signs(_from_sd(u, cls is GrayG), cls)
+    head._thunk = _Source(u, head._thunk)
+    return head
+
+
+def _from_sd(u: SdStream, in_g: bool) -> Iterator:
     flag = 1
-    in_g = True
     while True:
         u = u.force()
         d = u.head
@@ -219,7 +202,14 @@ def _from_sd(u: SdStream) -> Iterator:
 
 
 def to_sd(node: GrayNode) -> SdStream:
-    """Inverse automaton of :func:`from_sd` (works from either mode)."""
+    """Inverse automaton of :func:`from_sd` (works from either mode).
+
+    A code that :func:`from_sd` or a Gray op built, read before its head is
+    forced, gives back the signed-digit stream it was built from.
+    """
+    thunk = node._thunk
+    if type(thunk) is _Source:
+        return thunk.u
     return stream_from_digits(_to_sd(node))
 
 

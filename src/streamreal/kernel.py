@@ -26,6 +26,9 @@ into cells, resuming it once per forced cell.  A generator that returns
 of further output.  A generator drops each input cell once it has moved
 past it, so the forced prefix of an input is garbage as soon as every
 reader has moved on: memory grows with the live frontier, not the history.
+The Gray-code automata are the conversion from signed digits and the force
+counter; every Gray operation is a signed-digit automaton between the
+conversions (:mod:`streamreal.gray_ops`).
 """
 
 from __future__ import annotations

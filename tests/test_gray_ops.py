@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import GrayG, GrayH, gray_from_signs, take_gray_prefix, take_prefix
+from streamreal.kernel import GrayG, GrayH, gray_from_signs, take_gray_prefix, take_prefix, with_force_count
 from tests.support import (
     division_pair,
     random_sd,
@@ -311,6 +311,45 @@ def test_gray_ops_are_sd_ops_conjugated_by_the_conversions_exactly():
         for x, ops in ((g, REFERENCE_OPS_G), (mode_h, REFERENCE_OPS_H)):
             for name, (op, reference) in ops.items():
                 assert walk(op, (x,), SYMBOLS) == walk(reference, (x,), SYMBOLS), name
+
+
+def test_to_sd_of_an_unforced_built_code_is_its_source():
+    rng = random.Random(157)
+    for _ in range(50):
+        u = random_sd(rng, 10)
+        g = gray_ops.from_sd(u)
+        assert type(g) is GrayG
+        assert gray_ops.to_sd(g) is u
+        h = gray_ops.negate(gray_ops.to_h(g))
+        assert type(h) is GrayH
+        assert gray_ops.to_sd(h) is gray_ops.to_sd(h)
+
+
+def test_to_sd_of_a_forced_code_runs_the_automaton():
+    # the same symbols through the automaton, from either mode
+    rng = random.Random(163)
+    for _ in range(100):
+        u = random_sd(rng, 10)
+        for x, expected in ((gray_ops.from_sd(u), u),
+                            (gray_ops.negate(gray_ops.to_h(gray_ops.from_sd(u))), sd_ops.negate(u))):
+            x.force()
+            back = gray_ops.to_sd(x)
+            assert back is not u
+            assert take_prefix(back, SYMBOLS) == take_prefix(expected, SYMBOLS)
+
+
+def test_a_counted_code_is_not_a_view():
+    counted, counter = with_force_count(gray_ops.encode(Fraction(5, 8)))
+    take_prefix(gray_ops.to_sd(counted), 7)
+    assert counter.count == 7
+
+
+def test_deep_gray_average_chain():
+    # one automaton layer per level, as in the signed-digit chain
+    x = gray(Fraction(1, 3))
+    for _ in range(200):
+        x = gray_ops.average(x, gray(Fraction(-1, 5)))
+    assert len(take_gray_prefix(x, 3)) == 3
 
 
 def test_cross_coding_commutation():

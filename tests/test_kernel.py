@@ -147,7 +147,7 @@ def test_gray_counter():
     assert counter.count == 6
 
 
-@pytest.mark.parametrize("code, depth", [("sd", 400), ("gray", 200)])
+@pytest.mark.parametrize("code, depth", [("sd", 400), ("gray", 400)])
 def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
     x = ops.encode(Fraction(1, 3))
