@@ -16,7 +16,8 @@ Berger, Miyamoto, Schwichtenberg and Tsuiki 2016) do.  :func:`negate` and
 that an operation built and nobody has forced yet is the signed-digit
 stream the code was built from, so a chain of Gray operations runs as the
 chain of signed-digit ones with one conversion at each end.  Only the
-conversions and the :func:`to_h`/:func:`to_g` rewrite read Gray nodes.
+conversions, :func:`decode` and the :func:`to_h`/:func:`to_g` rewrite
+read Gray nodes.
 """
 
 from __future__ import annotations

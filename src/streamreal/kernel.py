@@ -26,8 +26,8 @@ into cells, resuming it once per forced cell.  A generator that returns
 of further output.  A generator drops each input cell once it has moved
 past it, so the forced prefix of an input is garbage as soon as every
 reader has moved on: memory grows with the live frontier, not the history.
-The Gray-code automata are the conversion from signed digits and the force
-counter; every Gray operation is a signed-digit automaton between the
+The only generators over Gray cells are the two conversions and the force
+counter: every Gray operation runs a signed-digit automaton between the
 conversions (:mod:`streamreal.gray_ops`).
 """
 

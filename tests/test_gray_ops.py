@@ -284,12 +284,8 @@ REFERENCE_OPS_G = {
     "double": (gray_ops.double, reference_gray_double),
     "to_h": (gray_ops.to_h, lambda x: reference_gray_switch_mode(x, GrayH)),
 }
-REFERENCE_OPS_H = {
-    "negate": (gray_ops.negate, reference_gray_negate),
-    "shift+1": (lambda x: gray_ops.shift(x, 1), lambda x: reference_gray_shift(x, 1)),
-    "shift-1": (lambda x: gray_ops.shift(x, -1), lambda x: reference_gray_shift(x, -1)),
-    "to_g": (gray_ops.to_g, lambda x: reference_gray_switch_mode(x, GrayG)),
-}
+REFERENCE_OPS_H = {name: REFERENCE_OPS_G[name] for name in ("negate", "shift+1", "shift-1")}
+REFERENCE_OPS_H["to_g"] = (gray_ops.to_g, lambda x: reference_gray_switch_mode(x, GrayG))
 
 
 def test_gray_ops_are_sd_ops_conjugated_by_the_conversions_exactly():
