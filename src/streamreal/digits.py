@@ -26,22 +26,28 @@ def make_fraction(numerator: int, denominator: int) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse ``P/Q`` or a bare integer ``P`` into a fraction.
 
-    The denominator must be a positive decimal literal; the optional sign
-    (ASCII ``-`` or unicode minus) belongs to the numerator.
+    Both parts are ASCII decimal literals and the denominator must be
+    positive; the optional sign (``+``, ASCII ``-`` or unicode minus)
+    belongs to the numerator.
     """
     s = text.strip()
     for sign in _MINUS_SIGNS:
         s = s.replace(sign, "-")
     num_text, slash, den_text = s.partition("/")
-    try:
-        numerator = int(num_text)
-    except ValueError:
-        raise ValueError(f"cannot parse rational: {text!r}") from None
-    if not slash:
-        return Fraction(numerator)
-    if not den_text.isdigit():
+    num_digits = num_text.rstrip()
+    if num_digits[:1] in ("+", "-"):
+        num_digits = num_digits[1:]
+    if not _is_decimal(num_digits) or slash and not _is_decimal(den_text):
         raise ValueError(f"cannot parse rational: {text!r}")
-    return make_fraction(numerator, int(den_text))
+    if not slash:
+        return Fraction(int(num_text))
+    return make_fraction(int(num_text), int(den_text))
+
+
+def _is_decimal(text: str) -> bool:
+    """Non-empty ASCII digits; ``int`` and ``str.isdigit`` also take other
+    scripts' digits, superscripts and underscores."""
+    return text.isascii() and text.isdigit()
 
 
 def format_rational(a: Fraction) -> str:

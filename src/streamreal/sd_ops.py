@@ -11,7 +11,7 @@ any stream is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Any, Iterator
 
 from .kernel import SdStream, stream_from_digits
 
@@ -92,33 +92,31 @@ def sub_one(u: SdStream) -> SdStream:
 
 
 def _shift(u: SdStream, e: int) -> Iterator[int]:
-    """Digits of ``x + e``; ``e = +1`` needs ``x <= 0``, ``e = -1`` needs ``x >= 0``."""
+    """Digits of ``x + e`` by :func:`_double_step` from state ``("add", e)``;
+    ``e = +1`` needs ``x <= 0``, ``e = -1`` needs ``x >= 0``."""
+    adding = ("add", e)
     while True:
         u = u.force()
-        d = u.head
-        if d == -e:
-            return e, u.tail
-        if d == e:
-            return e, SdStream.constant(e)
-        yield e
+        state, d = _double_step(adding, u.head)
+        if state is not adding:
+            return d, u.tail if state == "copy" else SdStream.constant(d)
+        yield d
         u = u.tail
 
 
 def double(u: SdStream) -> SdStream:
     """Denotes ``2x`` for ``|x| <= 1/2``.
 
-    Dispatches on the first digit: ``double(+1::u) = add_one(u)``,
-    ``double(0::u) = u``, ``double(-1::u) = sub_one(u)``.
+    Dispatches on the first digit by :func:`_double_step`: ``double(+1::u)
+    = add_one(u)``, ``double(0::u) = u``, ``double(-1::u) = sub_one(u)``.
     """
 
     def select() -> SdStream:
         c = u.force()
-        d = c.head
-        if d == 0:
+        state, _ = _double_step("dispatch", c.head)
+        if state == "copy":
             return c.tail
-        if d == 1:
-            return add_one(c.tail)
-        return sub_one(c.tail)
+        return stream_from_digits(_shift(c.tail, state[1]))
 
     return SdStream.defer(select)
 
@@ -130,46 +128,142 @@ def average(u: SdStream, v: SdStream) -> SdStream:
     ``i in [-2, 2]``; each step reads one more digit from both inputs, forms
     ``k = 2i + a' + b' in [-6, 6]``, emits +1 / -1 / 0 as k >= 2 / k <= -2 /
     else, and keeps carry ``k - 4d``.  The pending value is always
-    ``(i + x' + y')/4``, which stays in [-1, 1].
+    ``(i + x' + y')/4``, which stays in [-1, 1].  This is
+    :func:`_average_step`, which the numerator layers step too.
     """
     return stream_from_digits(_average(u, v))
 
 
-def _average(u: SdStream, v: SdStream) -> Iterator[int]:
-    u = u.force()
-    v = v.force()
-    carry = u.head + v.head
-    u = u.tail
-    v = v.tail
+def _average(u: SdStream, v: SdStream, carry: int | None = None) -> Iterator[int]:
+    """Digits of the average by :func:`_average_step`, from ``carry``."""
     while True:
         u = u.force()
         v = v.force()
-        k = 2 * carry + u.head + v.head
-        if k >= 2:
-            d = 1
-        elif k <= -2:
-            d = -1
-        else:
-            d = 0
-        carry = k - 4 * d
+        carry, d = _average_step(carry, u.head, v.head)
         u = u.tail
         v = v.tail
-        yield d
+        if d is not None:
+            yield d
 
 
 def twice_minus(u: SdStream, v: SdStream) -> SdStream:
     """Denotes ``2x - y`` under ``1/4 <= y``, ``0 <= x <= y``.
 
-    Built as ``double(double(average(u, half(negate(v)))))``; the average
+    The stream ``double(double(average(u, half(negate(v)))))``: the average
     argument is ``(2x - y)/4``, which has magnitude <= 1/4, so both
-    doublings stay in range.
+    doublings stay in range.  It runs as one automaton, the numerator layer
+    :func:`_layer_step` of kind +1 that the division's tower steps, and
+    splices where the composed streams do (:func:`_twice`).
     """
-    return double(double(average(u, half(negate(v)))))
+    return stream_from_digits(_twice(u, v, 1))
 
 
 def twice_plus(u: SdStream, v: SdStream) -> SdStream:
-    """Denotes ``2x + y`` under ``1/4 <= y``, ``-y <= x <= 0``."""
-    return double(double(average(u, half(v))))
+    """Denotes ``2x + y`` under ``1/4 <= y``, ``-y <= x <= 0``: the stream
+    ``double(double(average(u, half(v))))``, run as the layer of kind -1."""
+    return stream_from_digits(_twice(u, v, -1))
+
+
+def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
+    """Digits of ``2x - kind*y`` by :func:`_layer_step`, reading ``u`` and
+    ``half(v)`` as the stream ``double(double(average(u, half(-+v))))``
+    does and splicing where it does: onto the constant once the outer
+    double turns constant, and onto the average from the current carry once
+    both doubles copy."""
+    w = half(v)
+    state = (kind, None, "dispatch", "dispatch")
+    while True:
+        u = u.force()
+        w = w.force()
+        state, x = _layer_step(state, u.head, w.head)
+        u = u.tail
+        w = w.tail
+        if x is None:
+            if not _is_const(state[2]):
+                continue
+            # The inner double turned constant on the digit the outer one
+            # dispatched on; its next digit reaches the outer double without
+            # reading any input and makes that constant too.
+            state, x = _layer_step(state, 0, 0)
+        _, carry, inner, outer = state
+        if _is_const(outer):
+            return x, SdStream.constant(x)
+        if outer == inner == "copy":
+            return x, stream_from_digits(_average(u, negate(w) if kind > 0 else w, carry))
+        yield x
+
+
+# The one-digit step functions of the automata above and of the numerator
+# layer built from them: the only copy, which the generators above run and
+# the division's tower (:mod:`streamreal.sd_tower`) tabulates.
+
+def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
+    """One digit pair through the carry automaton of :func:`average`."""
+    if carry is None:
+        return a + b, None
+    k = 2 * carry + a + b
+    d = 1 if k >= 2 else -1 if k <= -2 else 0
+    return k - 4 * d, d
+
+
+def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
+    """One input digit through :func:`double` and the :func:`_shift` it becomes.
+
+    States: ``"dispatch"`` before the first digit, ``"copy"`` after
+    ``double(0::u) = u`` or a splice onto the input, ``("add", e)`` while
+    shifting by ``e`` and ``("const", e)`` once spliced onto the constant
+    stream of ``e``, which reads no more input.
+    """
+    if type(state) is tuple:  # ("add", e): a constant is not stepped
+        e = state[1]
+        if d == -e:
+            return "copy", e
+        if d == e:
+            return ("const", e), e
+        return state, e
+    if state == "dispatch":
+        return ("copy" if d == 0 else ("add", d)), None
+    return state, d
+
+
+def _hold_step(held: int | None, d: int) -> tuple[int, int | None]:
+    """One digit through a one-digit hold: keep ``d``, release the last."""
+    return d, held
+
+
+def _is_const(state: Any) -> bool:
+    return type(state) is tuple and state[0] == "const"
+
+
+def _layer_step(state: tuple, a: int, h: int) -> tuple[tuple, int | None]:
+    """One step of a numerator layer ``(kind, s0, s1, s2)``: it reads digit
+    ``a`` of the layer below and digit ``h`` of y/2 unless its automata have
+    spliced onto a constant.  Returns the next state and the digit the layer
+    emits, if any.
+
+    ``kind`` is +1 for ``2x - y``, -1 for ``2x + y`` and 0 for ``2x``.  For
+    ``kind != 0`` the stages are the average's carry (``None`` before the
+    first pair) and the inner and outer double; for ``kind == 0`` they are
+    two one-digit holds and the double, so that every layer emits digit i
+    after reading digit i + 3 below.
+    """
+    kind, s0, s1, s2 = state
+    x: int | None
+    if _is_const(s2):
+        return state, s2[1]
+    if kind and _is_const(s1):
+        x = s1[1]
+    elif kind:
+        s0, x = _average_step(s0, a, -kind * h)
+        if x is not None:
+            s1, x = _double_step(s1, x)
+    else:
+        s0, x = _hold_step(s0, a)
+        if x is not None:
+            s1, x = _hold_step(s1, x)
+    if x is not None:
+        s2, x = _double_step(s2, x)
+    return (kind, s0, s1, s2), x
 
 
 def divide(u: SdStream, v: SdStream) -> SdStream:
@@ -184,7 +278,8 @@ def divide(u: SdStream, v: SdStream) -> SdStream:
     Numerator layer j + 1 is ``double(double(average(x_j, -+y/2)))`` or
     ``double(x_j)`` of layer j, the streams :func:`twice_minus`,
     :func:`twice_plus` and :func:`double` build, but no layer is a stream:
-    each is one small-int state of its digit automata.  Every output digit
+    each is one small-int state of :func:`_layer_step`, the automaton that
+    runs :func:`twice_minus` and :func:`twice_plus`.  Every output digit
     reads three digits of ``u`` and passes them up the tower as one 3-digit
     code, one memoized table lookup per layer, and takes its digit from the
     top layer's code.  Layer j reads ``y/2`` at a position fixed by j and

@@ -3,81 +3,18 @@
 :func:`streamreal.sd_ops.divide` runs :func:`quotient_digits` and imports
 this module on its first call.  Numerator layer j + 1 of the division is
 ``double(double(average(x_j, -+y/2)))`` or ``double(x_j)`` of layer j; here
-each layer is one interned small-int state of those automata, whose
-transitions are composed from one-digit step functions of the average's
-carry rule and the ``double``/``_shift`` equations of :mod:`sd_ops` and
-memoized in tables that fill on first use.  Any change to those automata
-must be made here too; ``tests/test_divide_tower.py`` checks the two
-against each other digit by digit.
+each layer is one interned small-int state of the layer automaton
+:func:`streamreal.sd_ops._layer_step`, the one that runs
+``sd_ops.twice_minus`` and ``twice_plus``, whose transitions are memoized
+in tables that fill on first use.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .kernel import SdStream
-
-
-def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
-    """One digit pair through the carry automaton of ``sd_ops.average``."""
-    if carry is None:
-        return a + b, None
-    k = 2 * carry + a + b
-    d = 1 if k >= 2 else -1 if k <= -2 else 0
-    return k - 4 * d, d
-
-
-def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
-    """One input digit through ``sd_ops.double`` and the ``_shift`` it becomes.
-
-    States: ``"dispatch"`` before the first digit, ``"copy"`` after
-    ``double(0::u) = u`` or a splice onto the input, ``("add", e)`` while
-    shifting by ``e`` and ``("const", e)`` once spliced onto the constant
-    stream of ``e``, which reads no more input.
-    """
-    if state == "dispatch":
-        return ("copy" if d == 0 else ("add", d)), None
-    if state == "copy":
-        return state, d
-    e = state[1]
-    if d == -e:
-        return "copy", e
-    if d == e:
-        return ("const", e), e
-    return state, e
-
-
-def _hold_step(held: int | None, d: int) -> tuple[int, int | None]:
-    """One digit through a one-digit hold: keep ``d``, release the last."""
-    return d, held
-
-
-def _is_const(state: Any) -> bool:
-    return type(state) is tuple and state[0] == "const"
-
-
-def _layer_step(state: tuple, a: int, h: int) -> tuple[tuple, int | None]:
-    """One step of a numerator layer in ``state`` (see :class:`_Layers`):
-    it reads digit ``a`` of the layer below and digit ``h`` of y/2 unless
-    its automata have spliced onto a constant.  Returns the next state and
-    the digit the layer emits, if any."""
-    kind, s0, s1, s2 = state
-    x: int | None
-    if _is_const(s2):
-        return state, s2[1]
-    if kind and _is_const(s1):
-        x = s1[1]
-    elif kind:
-        s0, x = _average_step(s0, a, -kind * h)
-        if x is not None:
-            s1, x = _double_step(s1, x)
-    else:
-        s0, x = _hold_step(s0, a)
-        if x is not None:
-            s1, x = _hold_step(s1, x)
-    if x is not None:
-        s2, x = _double_step(s2, x)
-    return (kind, s0, s1, s2), x
+from .sd_ops import _is_const, _layer_step
 
 
 def _digits3(code: int) -> tuple[int, int, int]:
@@ -91,17 +28,14 @@ _NO_DIGITS = 13  # the code of 0 0 0, passed where a layer reads no y/2
 class _Layers:
     """Interned numerator layer states and their memoized transitions.
 
-    A layer state is ``(kind, s0, s1, s2)``.  ``kind`` is the quotient digit
-    that made the layer: +1 for ``2x - y``, -1 for ``2x + y``, 0 for ``2x``.
-    For ``kind != 0`` the stages are the average's carry (``None`` before
-    the first pair) and the inner and outer double; for ``kind == 0`` they
-    are two one-digit holds and the double.  Either way a new layer reads
-    three digits before it emits one and from then on emits digit i of its
-    own after reading digit i + 3 of the layer below, as the stream tower
-    does, so every layer moves by whole 3-digit codes.  Only such primed
-    states are interned.  A state whose automata have spliced onto a
-    constant reads nothing more and forgets the stages below the constant.
-    The tables fill on first use.  Divisions step only while a cell is
+    A layer state is a state ``(kind, s0, s1, s2)`` of
+    :func:`streamreal.sd_ops._layer_step`, whose ``kind`` is the quotient
+    digit that made the layer.  A new layer reads three digits before it
+    emits one and from then on emits digit i of its own after reading digit
+    i + 3 of the layer below, as the stream tower does, so every layer moves
+    by whole 3-digit codes.  Only such primed states are interned.  A state
+    whose automata have spliced onto a constant reads nothing more and
+    forgets the stages below the constant.  The tables fill on first use.  Divisions step only while a cell is
     being forced, under the kernel's force lock, so the tables need no lock
     of their own.
     """

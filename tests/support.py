@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
 a per-symbol walk of an operation's output, and the reference
-implementations that the library is checked against: the stream-tower
-divisions and the direct Gray-code equations."""
+implementations that the library is checked against: the signed-digit
+generators of the average and the doublings, the stream-tower divisions
+and the direct Gray-code equations."""
 
 from __future__ import annotations
 
@@ -79,6 +80,85 @@ def tail_at(u: Cell, n: int) -> Cell:
     return cell
 
 
+# The signed-digit average, shift and double as their own generators, and
+# ``2x -+ y`` composed of them as five stream layers.  ``sd_ops`` runs them
+# as the one-digit step functions that the division tower shares; these are
+# the reference it is compared with, digit and forced count.
+
+def reference_average(u: SdStream, v: SdStream) -> SdStream:
+    """``(x + y)/2`` by the carry automaton written out as a generator."""
+    return stream_from_digits(_reference_average(u, v))
+
+
+def _reference_average(u: SdStream, v: SdStream) -> Iterator[int]:
+    u = u.force()
+    v = v.force()
+    carry = u.head + v.head
+    u = u.tail
+    v = v.tail
+    while True:
+        u = u.force()
+        v = v.force()
+        k = 2 * carry + u.head + v.head
+        if k >= 2:
+            d = 1
+        elif k <= -2:
+            d = -1
+        else:
+            d = 0
+        carry = k - 4 * d
+        u = u.tail
+        v = v.tail
+        yield d
+
+
+def reference_add_one(u: SdStream) -> SdStream:
+    """``x + 1`` for ``x <= 0`` by the shift equations."""
+    return stream_from_digits(_reference_shift(u, 1))
+
+
+def reference_sub_one(u: SdStream) -> SdStream:
+    """``x - 1`` for ``x >= 0`` by the shift equations."""
+    return stream_from_digits(_reference_shift(u, -1))
+
+
+def _reference_shift(u: SdStream, e: int) -> Iterator[int]:
+    while True:
+        u = u.force()
+        d = u.head
+        if d == -e:
+            return e, u.tail
+        if d == e:
+            return e, SdStream.constant(e)
+        yield e
+        u = u.tail
+
+
+def reference_double(u: SdStream) -> SdStream:
+    """``2x`` for ``|x| <= 1/2``, dispatching on the first digit."""
+
+    def select() -> SdStream:
+        c = u.force()
+        d = c.head
+        if d == 0:
+            return c.tail
+        if d == 1:
+            return reference_add_one(c.tail)
+        return reference_sub_one(c.tail)
+
+    return SdStream.defer(select)
+
+
+def reference_twice_minus(u: SdStream, v: SdStream) -> SdStream:
+    """``2x - y`` as ``double(double(average(u, half(negate(v)))))``."""
+    return reference_double(reference_double(reference_average(u, sd_ops.half(sd_ops.negate(v)))))
+
+
+def reference_twice_plus(u: SdStream, v: SdStream) -> SdStream:
+    """``2x + y`` as ``double(double(average(u, half(v))))``."""
+    return reference_double(reference_double(reference_average(u, sd_ops.half(v))))
+
+
 def reference_divide(u: SdStream, v: SdStream) -> SdStream:
     """``sd_ops.divide`` with every numerator layer a memoized stream.
 
@@ -104,13 +184,13 @@ def _reference_divide(top: SdStream, neg_half_v: SdStream, pos_half_v: SdStream)
                 lead = c2.tail.force().head
         if lead == 1:
             yield 1
-            top = sd_ops.double(sd_ops.double(sd_ops.average(top, neg_half_v)))
+            top = reference_double(reference_double(reference_average(top, neg_half_v)))
         elif lead == -1:
             yield -1
-            top = sd_ops.double(sd_ops.double(sd_ops.average(top, pos_half_v)))
+            top = reference_double(reference_double(reference_average(top, pos_half_v)))
         else:
             yield 0
-            top = sd_ops.double(top)
+            top = reference_double(top)
 
 
 def _gray_leading_sign(x: GrayG) -> tuple[int, GrayG | None]:
@@ -161,7 +241,7 @@ def _reference_gray_divide(top: GrayG, sd_neg_half_y: SdStream, sd_pos_half_y: S
         else:
             # 2x' - d*y = 4 * average(x', -d*y/2), built on the SD side
             other = sd_neg_half_y if d == 1 else sd_pos_half_y
-            top = gray_ops.from_sd(sd_ops.average(gray_ops.to_sd(top), other))
+            top = gray_ops.from_sd(reference_average(gray_ops.to_sd(top), other))
             top = reference_gray_double(reference_gray_double(top))
             if d == (1 if in_g else -1):
                 top = reference_gray_negate(top)

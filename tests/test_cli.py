@@ -71,9 +71,10 @@ def test_encode_zero_sd_and_gray(capsys):
 
 
 def test_encode_parse_error_exit_2(capsys):
-    code, _, err = run_cli(capsys, "encode", "half")
-    assert code == 2
-    assert "cannot parse rational" in err
+    for text in ("half", "1/²"):
+        code, _, err = run_cli(capsys, "encode", text)
+        assert code == 2
+        assert "cannot parse rational" in err
 
 
 def test_encode_range_error_exit_3(capsys):
@@ -252,11 +253,17 @@ def test_run_report_omits_missing_counts():
 
 def test_package_import_leaves_cli_out_and_module_run_is_quiet():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    probe = ("import sys, streamreal; "
-             "print('argparse' in sys.modules, 'streamreal.cli' in sys.modules)")
+    # the division tower's tables load with the first division, not with
+    # the package or the 2x -+ y layer that shares its automaton
+    probe = ("import sys, streamreal; from fractions import Fraction; "
+             "print('argparse' in sys.modules, 'streamreal.cli' in sys.modules, "
+             "'streamreal.sd_tower' in sys.modules); "
+             "x = streamreal.sd_ops.encode(Fraction(1, 2)); "
+             "streamreal.take_prefix(streamreal.sd_ops.twice_minus(x, x), 8); "
+             "print('streamreal.sd_tower' in sys.modules)")
     imported = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-    assert imported.stdout == "False False\n"
+    assert imported.stdout == "False False False\nFalse\n"
     for module in ("streamreal.cli", "streamreal"):
         run = subprocess.run([sys.executable, "-m", module, "encode", "1/2"], env=env,
                              capture_output=True, text=True)

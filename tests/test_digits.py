@@ -43,7 +43,8 @@ def test_parse_rational_forms():
     assert parse_rational(" 2/4 ") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1/", "/2", "1/0", "1/-2", "1.5", "1/2/3"])
+@pytest.mark.parametrize("bad", ["", "abc", "1/", "/2", "1/0", "1/-2", "1.5", "1/2/3",
+                                 "1/²", "1/٣", "1_0/30"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

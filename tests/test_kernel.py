@@ -157,3 +157,26 @@ def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
         take(x, 3)
     with pytest.raises(RuntimeError, match="stream failed earlier"):
         take(x, 3)
+
+
+@pytest.mark.parametrize("code", ["sd", "gray"])
+def test_deep_double_half_chain_yields(code):
+    # double keeps its frame-free splice, so a level costs less than an
+    # average's generator layer
+    ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
+    x = ops.encode(Fraction(1, 3))
+    for _ in range(400):
+        x = ops.double(ops.half(x))
+    assert len(take(x, 3)) == 3
+
+
+@pytest.mark.parametrize("code", ["sd", "gray"])
+def test_deep_twice_minus_chain_yields(code):
+    # one generator layer per level, as in an average chain
+    ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
+    y = ops.encode(Fraction(3, 4))
+    x = y
+    for _ in range(200):
+        x = ops.twice_minus(x, y)
+    assert len(take(x, 3)) == 3
+    assert abs(ops.decode(x, 20) - Fraction(3, 4)) <= Fraction(1, 1 << 20)

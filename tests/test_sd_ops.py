@@ -6,8 +6,21 @@ from fractions import Fraction
 import pytest
 
 from streamreal import sd_ops
-from streamreal.kernel import take_prefix, with_force_count
-from tests.support import division_pair, sd, unit_fraction, within
+from streamreal.kernel import SdStream, take_prefix, with_force_count
+from tests.support import (
+    division_pair,
+    random_sd,
+    reference_add_one,
+    reference_average,
+    reference_double,
+    reference_sub_one,
+    reference_twice_minus,
+    reference_twice_plus,
+    sd,
+    unit_fraction,
+    walk,
+    within,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -196,6 +209,42 @@ def test_aux_look_ahead():
             cell = cell.tail
             assert cu.count <= n + 3
             assert cv.count <= n + 2
+
+
+# --- the automata against their generator references -----------------------
+
+UNARY = [(sd_ops.add_one, reference_add_one), (sd_ops.sub_one, reference_sub_one),
+         (sd_ops.double, reference_double)]
+BINARY = [(sd_ops.average, reference_average), (sd_ops.twice_minus, reference_twice_minus),
+          (sd_ops.twice_plus, reference_twice_plus)]
+
+
+def _match_references(u: SdStream, v: SdStream, n: int) -> None:
+    # cell class, digit and each input's forced count after every digit
+    for op, reference in UNARY:
+        assert walk(op, (u,), n) == walk(reference, (u,), n), op.__name__
+    for op, reference in BINARY:
+        assert walk(op, (u, v), n) == walk(reference, (u, v), n), op.__name__
+
+
+def test_automata_match_generator_references_on_random_streams():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        _match_references(random_sd(rng, 40), random_sd(rng, 40), 60)
+
+
+def test_automata_match_generator_references_on_division_pairs():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        x, y = division_pair(rng)
+        _match_references(sd_ops.encode(x), sd_ops.encode(y), 120)
+
+
+def test_shift_splices_onto_its_input_or_the_constant():
+    u = sd([1, 0, -1])
+    for e, op in ((1, sd_ops.add_one), (-1, sd_ops.sub_one)):
+        assert op(SdStream.cons(-e, u)).force().tail is u
+        assert op(SdStream.cons(e, u)).force().tail is SdStream.constant(e)
 
 
 # --- division ---------------------------------------------------------------
