@@ -37,11 +37,14 @@ def parse_rational(text: str) -> Fraction:
     num_digits = num_text.rstrip()
     if num_digits[:1] in ("+", "-"):
         num_digits = num_digits[1:]
-    if not _is_decimal(num_digits) or slash and not _is_decimal(den_text):
-        raise ValueError(f"cannot parse rational: {text!r}")
-    if not slash:
-        return Fraction(int(num_text))
-    return make_fraction(int(num_text), int(den_text))
+    try:
+        if not _is_decimal(num_digits) or slash and not _is_decimal(den_text):
+            raise ValueError
+        numerator = int(num_text)  # also raises past int's digit limit
+        denominator = int(den_text) if slash else 1
+    except ValueError:
+        raise ValueError(f"cannot parse rational: {text!r}") from None
+    return make_fraction(numerator, denominator)
 
 
 def _is_decimal(text: str) -> bool:

@@ -98,7 +98,7 @@ def _shift(u: SdStream, e: int) -> Iterator[int]:
     while True:
         u = u.force()
         state, d = _double_step(adding, u.head)
-        if state is not adding:
+        if state != adding:
             return d, u.tail if state == "copy" else SdStream.constant(d)
         yield d
         u = u.tail
@@ -107,16 +107,14 @@ def _shift(u: SdStream, e: int) -> Iterator[int]:
 def double(u: SdStream) -> SdStream:
     """Denotes ``2x`` for ``|x| <= 1/2``.
 
-    Dispatches on the first digit by :func:`_double_step`: ``double(+1::u)
-    = add_one(u)``, ``double(0::u) = u``, ``double(-1::u) = sub_one(u)``.
+    Dispatches on the first digit: ``double(+1::u) = add_one(u)``,
+    ``double(0::u) = u``, ``double(-1::u) = sub_one(u)``.
     """
 
     def select() -> SdStream:
         c = u.force()
-        state, _ = _double_step("dispatch", c.head)
-        if state == "copy":
-            return c.tail
-        return stream_from_digits(_shift(c.tail, state[1]))
+        d = c.head
+        return c.tail if d == 0 else stream_from_digits(_shift(c.tail, d))
 
     return SdStream.defer(select)
 
@@ -134,8 +132,9 @@ def average(u: SdStream, v: SdStream) -> SdStream:
     return stream_from_digits(_average(u, v))
 
 
-def _average(u: SdStream, v: SdStream, carry: int | None = None) -> Iterator[int]:
-    """Digits of the average by :func:`_average_step`, from ``carry``."""
+def _average(u: SdStream, v: SdStream) -> Iterator[int]:
+    """Digits of the average by :func:`_average_step`."""
+    carry = None
     while True:
         u = u.force()
         v = v.force()
@@ -153,7 +152,8 @@ def twice_minus(u: SdStream, v: SdStream) -> SdStream:
     argument is ``(2x - y)/4``, which has magnitude <= 1/4, so both
     doublings stay in range.  It runs as one automaton, the numerator layer
     :func:`_layer_step` of kind +1 that the division's tower steps, and
-    splices where the composed streams do (:func:`_twice`).
+    splices onto the constant where the composed streams do
+    (:func:`_twice`).
     """
     return stream_from_digits(_twice(u, v, 1))
 
@@ -167,9 +167,10 @@ def twice_plus(u: SdStream, v: SdStream) -> SdStream:
 def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
     """Digits of ``2x - kind*y`` by :func:`_layer_step`, reading ``u`` and
     ``half(v)`` as the stream ``double(double(average(u, half(-+v))))``
-    does and splicing where it does: onto the constant once the outer
-    double turns constant, and onto the average from the current carry once
-    both doubles copy."""
+    does.  Once the outer double turns constant it splices onto the
+    constant, as that stream does.  Where both doubles copy, that stream
+    splices onto the average; stepping the layer on emits the same digits
+    after the same reads, through one generator layer instead of two."""
     w = half(v)
     state = (kind, None, "dispatch", "dispatch")
     while True:
@@ -185,11 +186,8 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
             # dispatched on; its next digit reaches the outer double without
             # reading any input and makes that constant too.
             state, x = _layer_step(state, 0, 0)
-        _, carry, inner, outer = state
-        if _is_const(outer):
+        if _is_const(state[3]):
             return x, SdStream.constant(x)
-        if outer == inner == "copy":
-            return x, stream_from_digits(_average(u, negate(w) if kind > 0 else w, carry))
         yield x
 
 
@@ -207,7 +205,7 @@ def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
 
 
 def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
-    """One input digit through :func:`double` and the :func:`_shift` it becomes.
+    """One input digit through a double and the :func:`_shift` it becomes.
 
     States: ``"dispatch"`` before the first digit, ``"copy"`` after
     ``double(0::u) = u`` or a splice onto the input, ``("add", e)`` while

@@ -35,9 +35,9 @@ class _Layers:
     i + 3 of the layer below, as the stream tower does, so every layer moves
     by whole 3-digit codes.  Only such primed states are interned.  A state
     whose automata have spliced onto a constant reads nothing more and
-    forgets the stages below the constant.  The tables fill on first use.  Divisions step only while a cell is
-    being forced, under the kernel's force lock, so the tables need no lock
-    of their own.
+    forgets the stages below the constant.  The tables fill on first use.
+    Divisions step only while a cell is being forced, under the kernel's
+    force lock, so the tables need no lock of their own.
     """
 
     def __init__(self) -> None:

@@ -44,7 +44,9 @@ def test_parse_rational_forms():
 
 
 @pytest.mark.parametrize("bad", ["", "abc", "1/", "/2", "1/0", "1/-2", "1.5", "1/2/3",
-                                 "1/²", "1/٣", "1_0/30"])
+                                 "1/²", "1/٣", "1_0/30",
+                                 pytest.param("1" * 5000 + "/3", id="5000-digit-numerator"),
+                                 pytest.param("1/" + "3" * 5000, id="5000-digit-denominator")])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
