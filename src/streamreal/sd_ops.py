@@ -150,10 +150,9 @@ def twice_minus(u: SdStream, v: SdStream) -> SdStream:
 
     The stream ``double(double(average(u, half(negate(v)))))``: the average
     argument is ``(2x - y)/4``, which has magnitude <= 1/4, so both
-    doublings stay in range.  It runs as one automaton, the numerator layer
-    :func:`_layer_step` of kind +1 that the division's tower steps, and
-    splices onto the constant where the composed streams do
-    (:func:`_twice`).
+    doublings stay in range.  It runs as one automaton (:func:`_twice`),
+    the numerator layer :func:`_layer_step` of kind +1 that the division's
+    tower steps.
     """
     return stream_from_digits(_twice(u, v, 1))
 
@@ -167,10 +166,8 @@ def twice_plus(u: SdStream, v: SdStream) -> SdStream:
 def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
     """Digits of ``2x - kind*y`` by :func:`_layer_step`, reading ``u`` and
     ``half(v)`` as the stream ``double(double(average(u, half(-+v))))``
-    does.  Once the outer double turns constant it splices onto the
-    constant, as that stream does.  Where both doubles copy, that stream
-    splices onto the average; stepping the layer on emits the same digits
-    after the same reads, through one generator layer instead of two."""
+    does, and splicing as it does onto the constant once the outer double
+    turns constant."""
     w = half(v)
     state = (kind, None, "dispatch", "dispatch")
     while True:
@@ -224,11 +221,6 @@ def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
     return state, d
 
 
-def _hold_step(held: int | None, d: int) -> tuple[int, int | None]:
-    """One digit through a one-digit hold: keep ``d``, release the last."""
-    return d, held
-
-
 def _is_const(state: Any) -> bool:
     return type(state) is tuple and state[0] == "const"
 
@@ -255,10 +247,10 @@ def _layer_step(state: tuple, a: int, h: int) -> tuple[tuple, int | None]:
         s0, x = _average_step(s0, a, -kind * h)
         if x is not None:
             s1, x = _double_step(s1, x)
-    else:
-        s0, x = _hold_step(s0, a)
+    else:  # each hold keeps its digit and releases the last one
+        s0, x = a, s0
         if x is not None:
-            s1, x = _hold_step(s1, x)
+            s1, x = x, s1
     if x is not None:
         s2, x = _double_step(s2, x)
     return (kind, s0, s1, s2), x
