@@ -71,7 +71,7 @@ def test_encode_zero_sd_and_gray(capsys):
 
 
 def test_encode_parse_error_exit_2(capsys):
-    for text in ("half", "1/²", "1" * 5000 + "/3"):
+    for text in ("half", "1/²", "1" * 5000 + "/3", "1/" + "3" * 5000):
         code, _, err = run_cli(capsys, "encode", text)
         assert code == 2
         assert "cannot parse rational" in err
