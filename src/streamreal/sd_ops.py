@@ -134,7 +134,7 @@ def average(u: SdStream, v: SdStream) -> SdStream:
 
 def _average(u: SdStream, v: SdStream) -> Iterator[int]:
     """Digits of the average by :func:`_average_step`."""
-    carry = None
+    carry: int | None = None
     while True:
         u = u.force()
         v = v.force()
