@@ -8,18 +8,6 @@ Reals in [-1, 1] are represented either as signed-digit streams
 """
 
 from . import cauchy, digits, gray_ops, kernel, sd_ops
-from .kernel import (
-    ForceCount,
-    GrayG,
-    GrayH,
-    SdStream,
-    Splice,
-    take_gray_prefix,
-    take_prefix,
-    unfold_sd,
-    with_force_count,
-    with_force_count_gray,
-)
 
 __all__ = [
     "cauchy",
@@ -27,14 +15,4 @@ __all__ = [
     "gray_ops",
     "kernel",
     "sd_ops",
-    "ForceCount",
-    "GrayG",
-    "GrayH",
-    "SdStream",
-    "Splice",
-    "take_gray_prefix",
-    "take_prefix",
-    "unfold_sd",
-    "with_force_count",
-    "with_force_count_gray",
 ]

@@ -8,6 +8,12 @@ Wire formats
 Exit codes: 0 success, 2 parse error, 3 precondition violation.  Digit
 output goes to standard output, one result per line; ``--stats`` adds a
 trailing ``key=value`` report line.
+
+``encode``, ``op`` and ``div`` check their arguments and then share one
+runner, :func:`_run`.  Every input is the signed-digit encoding of its
+rational behind a force counter, lifted into the coding (a Gray input is a
+view of that stream), so ``--stats`` counts the symbols forced on each
+input's signed-digit source: the same numbers in both codings.
 """
 
 from __future__ import annotations
@@ -71,49 +77,36 @@ def text_to_gray(text: str) -> list[tuple[str, int | None]]:
 
 @dataclass(frozen=True)
 class Coding:
-    """What the commands need of one coding: its operations, how to take a
-    prefix, how to print one, and the round trip of ``op convert``."""
+    """What the commands need of one coding: its operations, how to lift a
+    signed-digit stream into it, how to take a prefix, how to print one,
+    and the round trip of ``op convert``."""
 
     ops: ModuleType
+    lift: Callable
     take: Callable
     to_text: Callable
     convert: Callable
 
 
 CODINGS = {
-    "sd": Coding(sd_ops, take_prefix, sd_to_text, lambda u: gray_ops.to_sd(gray_ops.from_sd(u))),
-    "gray": Coding(gray_ops, take_gray_prefix, gray_to_text, lambda g: g),
+    "sd": Coding(sd_ops, lambda u: u, take_prefix, sd_to_text,
+                 lambda u: gray_ops.to_sd(gray_ops.from_sd(u))),
+    "gray": Coding(gray_ops, gray_ops.from_sd, take_gray_prefix, gray_to_text, lambda g: g),
 }
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Observables of one instrumented run."""
-
-    digits_produced: int
-    u_forced: int | None
-    v_forced: int | None
-    elapsed: float
-    decoded_value: Fraction
-    exact_value: Fraction
-    error_bound_ok: bool
-
-    @classmethod
-    def build(cls, digits_produced, u_forced, v_forced, elapsed, decoded, exact):
-        bound_ok = abs(decoded - exact) <= Fraction(1, 1 << digits_produced)
-        return cls(digits_produced, u_forced, v_forced, elapsed, decoded, exact, bound_ok)
-
-    def as_line(self) -> str:
-        parts = [f"digits-produced={self.digits_produced}"]
-        if self.u_forced is not None:
-            parts.append(f"u-forced={self.u_forced}")
-        if self.v_forced is not None:
-            parts.append(f"v-forced={self.v_forced}")
-        parts.append(f"elapsed={self.elapsed:.6f}")
-        parts.append(f"decoded-value={format_rational(self.decoded_value)}")
-        parts.append(f"exact-value={format_rational(self.exact_value)}")
-        parts.append(f"error-bound-ok={'true' if self.error_bound_ok else 'false'}")
-        return " ".join(parts)
+def report_line(n: int, counts: list[int], elapsed: float,
+                decoded: Fraction, exact: Fraction) -> str:
+    """The ``--stats`` line of a run that printed ``n`` symbols; ``counts``
+    holds the symbols forced on each input, in order (``u``, then ``v``)."""
+    parts = [f"digits-produced={n}"]
+    parts += [f"{name}-forced={count}" for name, count in zip("uv", counts)]
+    parts.append(f"elapsed={elapsed:.6f}")
+    parts.append(f"decoded-value={format_rational(decoded)}")
+    parts.append(f"exact-value={format_rational(exact)}")
+    bound_ok = abs(decoded - exact) <= Fraction(1, 1 << n)
+    parts.append(f"error-bound-ok={'true' if bound_ok else 'false'}")
+    return " ".join(parts)
 
 
 def _parse_arg(text: str) -> Fraction:
@@ -132,25 +125,29 @@ def _require_unit(a: Fraction, name: str) -> None:
     _require(-1 <= a <= 1, f"-1 <= {name} <= 1 ({name} = {format_rational(a)})")
 
 
-def _require_digits(n: int) -> None:
+def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
+    """Print ``args.digits`` symbols of ``op`` on the inputs ``values`` in
+    the coding ``args.code``; under ``args.stats`` decode them and print the
+    report line against the ``exact`` value."""
+    n = args.digits
     _require(n >= 1, f"--digits >= 1 (--digits = {n})")
-
-
-def _take_timed(coding: Coding, result, n: int) -> tuple[str, float, Fraction]:
-    """Printed prefix of ``n`` symbols, the time to produce it, its value."""
+    coding = CODINGS[args.code]
+    inputs = [with_force_count(sd_ops.encode(a)) for a in values]
+    result = op(*[coding.lift(u) for u, _ in inputs])
     start = time.perf_counter()
     text = coding.to_text(coding.take(result, n))
     elapsed = time.perf_counter() - start
-    return text, elapsed, coding.ops.decode(result, n)
+    print(text)
+    if args.stats:
+        counts = [counter.count for _, counter in inputs]
+        print(report_line(n, counts, elapsed, coding.ops.decode(result, n), exact))
+    return 0
 
 
 def _cmd_encode(args) -> int:
     a = _parse_arg(args.value)
     _require_unit(a, "a")
-    _require_digits(args.digits)
-    coding = CODINGS[args.code]
-    print(coding.to_text(coding.take(coding.ops.encode(a), args.digits)))
-    return 0
+    return _run(args, lambda x: x, [a], a)
 
 
 # op name -> (name in sd_ops/gray_ops, exact value); convert is per coding
@@ -187,27 +184,10 @@ def _cmd_op(args) -> int:
     elif len(values) != 1:
         raise CliFailure(2, f"error: {name} needs exactly one rational")
     _check_op_preconditions(name, values)
-    n = args.digits
-    _require_digits(n)
     coding = CODINGS[args.code]
     op_name, exact_op = _OPS[name]
     op = getattr(coding.ops, op_name) if op_name else coding.convert
-    inputs = [with_force_count(coding.ops.encode(a)) for a in values]
-    result = op(*[stream for stream, _ in inputs])
-    text, elapsed, decoded = _take_timed(coding, result, n)
-    print(text)
-    if args.stats:
-        counts = [counter.count for _, counter in inputs]
-        report = RunReport.build(
-            n,
-            counts[0] if counts else None,
-            counts[1] if len(counts) > 1 else None,
-            elapsed,
-            decoded,
-            exact_op(*values),
-        )
-        print(report.as_line())
-    return 0
+    return _run(args, op, values, exact_op(*values))
 
 
 def _check_div_preconditions(x: Fraction, y: Fraction) -> None:
@@ -220,17 +200,7 @@ def _cmd_div(args) -> int:
     x = _parse_arg(args.numerator)
     y = _parse_arg(args.denominator)
     _check_div_preconditions(x, y)
-    n = args.digits
-    _require_digits(n)
-    coding = CODINGS[args.code]
-    u, cu = with_force_count(coding.ops.encode(x))
-    v, cv = with_force_count(coding.ops.encode(y))
-    text, elapsed, decoded = _take_timed(coding, coding.ops.divide(u, v), n)
-    print(text)
-    if args.stats:
-        report = RunReport.build(n, cu.count, cv.count, elapsed, decoded, x / y)
-        print(report.as_line())
-    return 0
+    return _run(args, CODINGS[args.code].ops.divide, [x, y], x / y)
 
 
 def _parse_digit_list(text: str) -> list[int]:
@@ -299,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode = sub.add_parser("encode", help="print the canonical code of a rational")
     p_encode.add_argument("value", help="rational in [-1,1], e.g. 1/2 or -3/4")
     common(p_encode, 16)
-    p_encode.set_defaults(func=_cmd_encode)
+    p_encode.set_defaults(func=_cmd_encode, stats=False)
 
     p_op = sub.add_parser("op", help="apply a stream operation to rational inputs")
-    p_op.add_argument("name", choices=("neg", "half", "double", "add1", "sub1", "avg", "convert"))
+    p_op.add_argument("name", choices=tuple(_OPS))
     p_op.add_argument("values", nargs="+", help="one rational (two for avg)")
     common(p_op, 16)
     p_op.add_argument("--stats", action="store_true", help="append a run report line")

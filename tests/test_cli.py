@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from streamreal.cli import (
-    RunReport,
     gray_to_text,
     main,
+    report_line,
     sd_to_text,
     text_to_gray,
     text_to_sd,
@@ -235,18 +235,17 @@ def test_bench_validates_counts(capsys):
 # --- run report ---------------------------------------------------------------------
 
 def test_run_report_bound_flag():
-    good = RunReport.build(4, 10, 9, 0.0, Fraction(7, 16), Fraction(1, 2))
-    assert good.error_bound_ok  # gap 1/16 == 2**-4
-    bad = RunReport.build(4, 10, 9, 0.0, Fraction(3, 8), Fraction(1, 2))
-    assert not bad.error_bound_ok
-    line = good.as_line()
-    assert "digits-produced=4" in line and "error-bound-ok=true" in line
+    good = report_fields(report_line(4, [10, 9], 0.0, Fraction(7, 16), Fraction(1, 2)))
+    assert good["error-bound-ok"] == "true"  # gap 1/16 == 2**-4
+    assert (good["digits-produced"], good["u-forced"], good["v-forced"]) == ("4", "10", "9")
+    bad = report_fields(report_line(4, [10, 9], 0.0, Fraction(3, 8), Fraction(1, 2)))
+    assert bad["error-bound-ok"] == "false"
 
 
 def test_run_report_omits_missing_counts():
-    report = RunReport.build(3, None, None, 0.5, Fraction(0), Fraction(0))
-    line = report.as_line()
+    line = report_line(3, [], 0.5, Fraction(0), Fraction(0))
     assert "u-forced" not in line and "v-forced" not in line
+    assert "v-forced" not in report_line(3, [2], 0.5, Fraction(0), Fraction(0))
 
 
 # --- package ------------------------------------------------------------------
@@ -259,7 +258,7 @@ def test_package_import_leaves_cli_out_and_module_run_is_quiet():
              "print('argparse' in sys.modules, 'streamreal.cli' in sys.modules, "
              "'streamreal.sd_tower' in sys.modules); "
              "x = streamreal.sd_ops.encode(Fraction(1, 2)); "
-             "streamreal.take_prefix(streamreal.sd_ops.twice_minus(x, x), 8); "
+             "streamreal.kernel.take_prefix(streamreal.sd_ops.twice_minus(x, x), 8); "
              "print('streamreal.sd_tower' in sys.modules)")
     imported = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
