@@ -10,10 +10,12 @@ output goes to standard output, one result per line; ``--stats`` adds a
 trailing ``key=value`` report line.
 
 ``encode``, ``op`` and ``div`` check their arguments and then share one
-runner, :func:`_run`.  Every input is the signed-digit encoding of its
-rational behind a force counter, lifted into the coding (a Gray input is a
-view of that stream), so ``--stats`` counts the symbols forced on each
-input's signed-digit source: the same numbers in both codings.
+runner, :func:`_run`.  Every command computes in signed digits: each input
+is the signed-digit encoding of its rational behind a force counter, the
+:mod:`streamreal.sd_ops` function runs on those streams, and only its
+result is lifted into the output coding.  ``--stats`` therefore counts the
+digits forced on each input, the same numbers in both codings, and decodes
+the signed-digit result (equal to the Gray midpoint of the same prefix).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from types import ModuleType
 from typing import Callable
 
 from . import gray_ops, sd_ops
@@ -77,21 +78,17 @@ def text_to_gray(text: str) -> list[tuple[str, int | None]]:
 
 @dataclass(frozen=True)
 class Coding:
-    """What the commands need of one coding: its operations, how to lift a
-    signed-digit stream into it, how to take a prefix, how to print one,
-    and the round trip of ``op convert``."""
+    """What the commands need of one output coding: how to lift a
+    signed-digit stream into it, how to take a prefix and how to print one."""
 
-    ops: ModuleType
     lift: Callable
     take: Callable
     to_text: Callable
-    convert: Callable
 
 
 CODINGS = {
-    "sd": Coding(sd_ops, lambda u: u, take_prefix, sd_to_text,
-                 lambda u: gray_ops.to_sd(gray_ops.from_sd(u))),
-    "gray": Coding(gray_ops, gray_ops.from_sd, take_gray_prefix, gray_to_text, lambda g: g),
+    "sd": Coding(lambda u: u, take_prefix, sd_to_text),
+    "gray": Coding(gray_ops.from_sd, take_gray_prefix, gray_to_text),
 }
 
 
@@ -126,21 +123,22 @@ def _require_unit(a: Fraction, name: str) -> None:
 
 
 def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
-    """Print ``args.digits`` symbols of ``op`` on the inputs ``values`` in
-    the coding ``args.code``; under ``args.stats`` decode them and print the
-    report line against the ``exact`` value."""
+    """Print ``args.digits`` symbols of the signed-digit ``op`` on the inputs
+    ``values``, lifted into the coding ``args.code``; under ``args.stats``
+    decode them and print the report line against the ``exact`` value."""
     n = args.digits
     _require(n >= 1, f"--digits >= 1 (--digits = {n})")
     coding = CODINGS[args.code]
     inputs = [with_force_count(sd_ops.encode(a)) for a in values]
-    result = op(*[coding.lift(u) for u, _ in inputs])
+    u = op(*[stream for stream, _ in inputs])
+    result = coding.lift(u)
     start = time.perf_counter()
     text = coding.to_text(coding.take(result, n))
     elapsed = time.perf_counter() - start
     print(text)
     if args.stats:
         counts = [counter.count for _, counter in inputs]
-        print(report_line(n, counts, elapsed, coding.ops.decode(result, n), exact))
+        print(report_line(n, counts, elapsed, sd_ops.decode(u, n), exact))
     return 0
 
 
@@ -150,15 +148,16 @@ def _cmd_encode(args) -> int:
     return _run(args, lambda x: x, [a], a)
 
 
-# op name -> (name in sd_ops/gray_ops, exact value); convert is per coding
+# op name -> (signed-digit operation, exact value); convert is the round
+# trip through the Gray coding
 _OPS = {
-    "neg": ("negate", lambda a: -a),
-    "half": ("half", lambda a: a / 2),
-    "double": ("double", lambda a: 2 * a),
-    "add1": ("add_one", lambda a: a + 1),
-    "sub1": ("sub_one", lambda a: a - 1),
-    "avg": ("average", lambda a, b: (a + b) / 2),
-    "convert": (None, lambda a: a),
+    "neg": (sd_ops.negate, lambda a: -a),
+    "half": (sd_ops.half, lambda a: a / 2),
+    "double": (sd_ops.double, lambda a: 2 * a),
+    "add1": (sd_ops.add_one, lambda a: a + 1),
+    "sub1": (sd_ops.sub_one, lambda a: a - 1),
+    "avg": (sd_ops.average, lambda a, b: (a + b) / 2),
+    "convert": (lambda u: gray_ops.to_sd(gray_ops.from_sd(u)), lambda a: a),
 }
 
 
@@ -184,9 +183,7 @@ def _cmd_op(args) -> int:
     elif len(values) != 1:
         raise CliFailure(2, f"error: {name} needs exactly one rational")
     _check_op_preconditions(name, values)
-    coding = CODINGS[args.code]
-    op_name, exact_op = _OPS[name]
-    op = getattr(coding.ops, op_name) if op_name else coding.convert
+    op, exact_op = _OPS[name]
     return _run(args, op, values, exact_op(*values))
 
 
@@ -200,7 +197,7 @@ def _cmd_div(args) -> int:
     x = _parse_arg(args.numerator)
     y = _parse_arg(args.denominator)
     _check_div_preconditions(x, y)
-    return _run(args, CODINGS[args.code].ops.divide, [x, y], x / y)
+    return _run(args, sd_ops.divide, [x, y], x / y)
 
 
 def _parse_digit_list(text: str) -> list[int]:
@@ -228,13 +225,16 @@ def _time_division(n: int, code: str) -> float:
     filling its tables; at a short count the median leaves that out too.
     """
     coding = CODINGS[code]
-    ops = coding.ops
     times: list[float] = []
-    while sum(times) < BENCH_MIN_SECONDS:
-        result = ops.divide(ops.encode(BENCH_NUMERATOR), ops.encode(BENCH_DENOMINATOR))
+    total = 0.0
+    while total < BENCH_MIN_SECONDS:
+        u = sd_ops.divide(sd_ops.encode(BENCH_NUMERATOR), sd_ops.encode(BENCH_DENOMINATOR))
+        result = coding.lift(u)
         start = time.perf_counter()
         coding.take(result, n)
-        times.append(time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        times.append(elapsed)
+        total += elapsed
     return sorted(times)[len(times) // 2]
 
 

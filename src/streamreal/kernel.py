@@ -1,6 +1,6 @@
 """Lazy, memoized codata cells for digit streams and Gray codes.
 
-Streams are chains of cells with deferred tails, not index functions: every
+Streams are chains of cells with lazy tails, not index functions: every
 algorithm in this library is a head/tail pattern matcher, and caching each
 cell is what keeps the instrumented look-ahead linear instead of recomputing
 prefixes.  A cell is forced at most once; forcing is serialized by a global
@@ -21,11 +21,13 @@ Both codings are chains of one cell class, :class:`Cell`, a pair
 Every automaton over these cells is a Python generator that takes its input
 cells as arguments and yields one output symbol per step.  One driver per
 coding, :func:`stream_from_digits` and :func:`gray_from_signs`, turns it
-into cells, resuming it once per forced cell.  A generator that returns
-``(head, tail)`` ends the chain with that cell, splicing ``tail`` in place
-of further output.  A generator drops each input cell once it has moved
-past it, so the forced prefix of an input is garbage as soon as every
-reader has moved on: memory grows with the live frontier, not the history.
+into cells, resuming it once per forced cell.  A generator ends its
+stream in one way only, by returning a cell, which the driver forces: the
+cell being forced takes its head and tail, and the stream goes on as the
+returned one, which may be an input the generator has not read.  A
+generator drops each input cell once it has moved past it, so the forced
+prefix of an input is garbage as soon as every reader has moved on:
+memory grows with the live frontier, not the history.
 The only generators over Gray cells are the two conversions and the force
 counter: every Gray operation runs a signed-digit automaton between the
 conversions (:mod:`streamreal.gray_ops`).
@@ -78,16 +80,6 @@ class Cell:
             cell.tail = cell
             _CONSTANTS[cls, head] = cell
         return cell
-
-    @classmethod
-    def defer(cls, make: Callable[[], "Cell"]) -> "Cell":
-        """Cell that delegates to ``make()`` on first force."""
-
-        def thunk() -> tuple[Any, Cell]:
-            inner = make().force()
-            return inner.head, inner.tail
-
-        return cls(thunk)
 
     def force(self) -> "Cell":
         if self._thunk is not None:
@@ -146,9 +138,11 @@ class GrayH(GrayNode):
 # form a reference cycle, pinning every stream it reaches until a cyclic
 # collection.  As globals, the whole forced pyramid dies by refcounting.
 
-def _finished(stop: StopIteration) -> tuple[Any, Cell]:
-    """The spliced cell a generator returned; a generator that has already
-    raised is finished without one, and forcing its cells again fails."""
+def _finished(stop: StopIteration) -> Cell:
+    """The cell a generator returned to splice onto; a generator that has
+    already raised is finished without one, and forcing its cells again
+    fails.  The drivers force the cell in their thunk: forcing it here
+    would cost every spliced level one frame more."""
     if stop.value is None:
         raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
     return stop.value
@@ -159,7 +153,9 @@ def _sd_cell(pull: Callable[[], int]) -> SdStream:
         try:
             return pull(), _sd_cell(pull)
         except StopIteration as stop:
-            return _finished(stop)
+            cell = _finished(stop)
+        cell = cell.force()
+        return cell.head, cell.tail
 
     return SdStream(thunk)
 
@@ -169,8 +165,8 @@ def stream_from_digits(digits: Iterator[int]) -> SdStream:
 
     The iterator is advanced only when a new cell is forced, so generators
     passed here stay as lazy as the corecursion they implement.  When a
-    generator returns ``(digit, tail)``, the cell being forced becomes that
-    pair and the stream continues with ``tail``.
+    generator returns a cell, the cell being forced takes its head and tail
+    and the stream continues as the returned one.
     """
     return _sd_cell(digits.__next__)
 
@@ -179,9 +175,11 @@ def _gray_cell(pull: Callable[[], Any], cls: type) -> GrayNode:
     def thunk() -> tuple[Any, GrayNode]:
         try:
             sign = pull()
+            return sign, _gray_cell(pull, GrayH if sign is None else GrayG)
         except StopIteration as stop:
-            return _finished(stop)
-        return sign, _gray_cell(pull, GrayH if sign is None else GrayG)
+            cell = _finished(stop)
+        cell = cell.force()
+        return cell.head, cell.tail
 
     return cls(thunk)
 
@@ -191,8 +189,8 @@ def gray_from_signs(signs: Iterator[Any], cls: type = GrayG) -> GrayNode:
 
     ``None`` marks a delay.  Mode bookkeeping follows the constructor types:
     the rest of a sign node is mode G, the rest of a delay node is mode H.
-    A returned ``(sign, rest)`` ends the chain as in
-    :func:`stream_from_digits`.
+    A returned node ends the chain as in :func:`stream_from_digits`; its
+    class should be the mode the chain is in at that point.
     """
     return _gray_cell(signs.__next__, cls)
 
@@ -201,7 +199,7 @@ def _unfold(state: Any, step: Callable[[Any], tuple[int, Any]]) -> Iterator[int]
     while True:
         digit, state = step(state)
         if type(state) is Splice:
-            return digit, state.stream
+            return SdStream.cons(digit, state.stream)
         yield digit
 
 
@@ -210,8 +208,9 @@ def unfold_sd(seed: Any, step: Callable[[Any], tuple[int, Any]]) -> SdStream:
 
     ``step`` maps a state to ``(digit, next)`` where ``next`` is either
     ``Splice(stream)`` -- splicing an existing stream in place of further
-    corecursion -- or the next state.  ``step`` must be total on states
-    reachable from ``seed``.
+    corecursion -- or the next state.  A splice ends the generator with the
+    cell ``digit :: stream``, which :func:`stream_from_digits` takes over.
+    ``step`` must be total on states reachable from ``seed``.
     """
     return stream_from_digits(_unfold(seed, step))
 

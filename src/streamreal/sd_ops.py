@@ -83,40 +83,38 @@ def add_one(u: SdStream) -> SdStream:
     +1::add_one(u)``, ``add_one(-1::u) = +1::u``.  The first and the last
     splice: the result shares the constant stream or ``u``.
     """
-    return stream_from_digits(_shift(u, 1))
+    return stream_from_digits(_double(u, ("add", 1)))
 
 
 def sub_one(u: SdStream) -> SdStream:
     """Denotes ``x - 1`` for ``x >= 0`` (mirror equations of add_one)."""
-    return stream_from_digits(_shift(u, -1))
-
-
-def _shift(u: SdStream, e: int) -> Iterator[int]:
-    """Digits of ``x + e`` by :func:`_double_step` from state ``("add", e)``;
-    ``e = +1`` needs ``x <= 0``, ``e = -1`` needs ``x >= 0``."""
-    adding = ("add", e)
-    while True:
-        u = u.force()
-        state, d = _double_step(adding, u.head)
-        if state != adding:
-            return d, u.tail if state == "copy" else SdStream.constant(d)
-        yield d
-        u = u.tail
+    return stream_from_digits(_double(u, ("add", -1)))
 
 
 def double(u: SdStream) -> SdStream:
     """Denotes ``2x`` for ``|x| <= 1/2``.
 
     Dispatches on the first digit: ``double(+1::u) = add_one(u)``,
-    ``double(0::u) = u``, ``double(-1::u) = sub_one(u)``.
+    ``double(0::u) = u``, ``double(-1::u) = sub_one(u)``.  The second
+    splices onto ``u`` before forcing it.
     """
+    return stream_from_digits(_double(u, "dispatch"))
 
-    def select() -> SdStream:
-        c = u.force()
-        d = c.head
-        return c.tail if d == 0 else stream_from_digits(_shift(c.tail, d))
 
-    return SdStream.defer(select)
+def _double(u: SdStream, state: Any) -> Iterator[int]:
+    """Digits of a double (from state ``"dispatch"``) or of ``x + e`` (from
+    ``("add", e)``) by :func:`_double_step`, splicing onto the input or the
+    constant when the automaton does."""
+    while True:
+        u = u.force()
+        state, d = _double_step(state, u.head)
+        u = u.tail
+        if type(state) is not tuple:  # "copy": the rest is the input
+            return u if d is None else SdStream.cons(d, u)
+        if state[0] == "const":
+            return SdStream.constant(d)
+        if d is not None:
+            yield d
 
 
 def average(u: SdStream, v: SdStream) -> SdStream:
@@ -184,7 +182,7 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
             # reading any input and makes that constant too.
             state, x = _layer_step(state, 0, 0)
         if _is_const(state[3]):
-            return x, SdStream.constant(x)
+            return SdStream.constant(x)
         yield x
 
 
@@ -202,7 +200,7 @@ def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
 
 
 def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
-    """One input digit through a double and the :func:`_shift` it becomes.
+    """One input digit through the double automaton of :func:`_double`.
 
     States: ``"dispatch"`` before the first digit, ``"copy"`` after
     ``double(0::u) = u`` or a splice onto the input, ``("add", e)`` while

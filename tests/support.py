@@ -127,9 +127,9 @@ def _reference_shift(u: SdStream, e: int) -> Iterator[int]:
         u = u.force()
         d = u.head
         if d == -e:
-            return e, u.tail
+            return SdStream.cons(e, u.tail)
         if d == e:
-            return e, SdStream.constant(e)
+            return SdStream.constant(e)
         yield e
         u = u.tail
 
@@ -137,16 +137,19 @@ def _reference_shift(u: SdStream, e: int) -> Iterator[int]:
 def reference_double(u: SdStream) -> SdStream:
     """``2x`` for ``|x| <= 1/2``, dispatching on the first digit."""
 
-    def select() -> SdStream:
+    def thunk() -> tuple:
         c = u.force()
         d = c.head
         if d == 0:
-            return c.tail
-        if d == 1:
-            return reference_add_one(c.tail)
-        return reference_sub_one(c.tail)
+            rest = c.tail
+        elif d == 1:
+            rest = reference_add_one(c.tail)
+        else:
+            rest = reference_sub_one(c.tail)
+        rest = rest.force()
+        return rest.head, rest.tail
 
-    return SdStream.defer(select)
+    return SdStream(thunk)
 
 
 def reference_twice_minus(u: SdStream, v: SdStream) -> SdStream:
@@ -302,11 +305,14 @@ def reference_gray_double(g: GrayG) -> GrayG:
     """Denotes ``2x`` for ``|x| <= 1/2``: a sign node hands its negated
     continuation to the shift, a delay node unwraps to mode G."""
 
-    def select() -> GrayG:
+    def thunk() -> tuple:
         c = g.force()
         s = c.head
         if s is None:
-            return reference_gray_switch_mode(c.tail, GrayG)
-        return reference_gray_shift(reference_gray_negate(c.tail), s)
+            rest = reference_gray_switch_mode(c.tail, GrayG)
+        else:
+            rest = reference_gray_shift(reference_gray_negate(c.tail), s)
+        rest = rest.force()
+        return rest.head, rest.tail
 
-    return GrayG.defer(select)
+    return GrayG(thunk)

@@ -11,6 +11,8 @@ from streamreal.kernel import (
     GrayH,
     SdStream,
     Splice,
+    gray_from_signs,
+    stream_from_digits,
     take_gray_prefix,
     take_prefix,
     unfold_sd,
@@ -30,6 +32,38 @@ def test_unfold_immediate_splice_shares_tail():
     u = unfold_sd(None, lambda s: (1, Splice(w)))
     assert take_prefix(u, 4) == [1, 0, -1, 0]
     assert u.force().tail is w
+
+
+def test_generator_ends_by_returning_the_cell_it_splices_onto():
+    rest, counter = with_force_count(sd([-1, 0, 1]))
+
+    def digits():
+        yield 1
+        yield 0
+        return rest
+
+    u = stream_from_digits(digits())
+    assert take_prefix(u, 2) == [1, 0]
+    assert counter.count == 0
+    assert take_prefix(u, 3) == [1, 0, -1]
+    assert counter.count == 1
+    assert tail_at(u, 3) is rest.tail
+    assert take_prefix(u, 6) == [1, 0, -1, 0, 1, 0]
+
+
+def test_gray_generator_ends_by_returning_the_node_it_splices_onto():
+    rest, counter = with_force_count(gray_ops.encode(Fraction(-3, 8)))
+
+    def signs():
+        yield None
+        yield 1
+        return rest
+
+    g = gray_from_signs(signs())
+    assert counter.count == 0
+    assert take_gray_prefix(g, 4) == [("g", None), ("h", 1)] + take_gray_prefix(rest, 2)
+    assert counter.count == 2
+    assert tail_at(g, 3) is tail_at(rest, 1)
 
 
 def test_unfold_average_seed_decodes_midpoint():

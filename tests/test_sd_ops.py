@@ -245,6 +245,12 @@ def test_shift_splices_onto_its_input_or_the_constant():
     for e, op in ((1, sd_ops.add_one), (-1, sd_ops.sub_one)):
         assert op(SdStream.cons(-e, u)).force().tail is u
         assert op(SdStream.cons(e, u)).force().tail is SdStream.constant(e)
+    # double's first digit: 0 splices onto the input itself, +-1 runs the shift
+    assert sd_ops.double(SdStream.cons(0, u)).force().tail is u.force().tail
+    for e in (1, -1):
+        assert sd_ops.double(SdStream.cons(e, SdStream.cons(-e, u))).force().tail is u
+        twice_e = sd_ops.double(SdStream.cons(e, SdStream.cons(e, u)))
+        assert twice_e.force().tail is SdStream.constant(e)
 
 
 # --- division ---------------------------------------------------------------
