@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import gray_ops, sd_ops
-from .digits import format_rational, parse_rational
+from .digits import _is_decimal, format_rational, parse_rational
 from .kernel import take_gray_prefix, take_prefix, with_force_count
 
 BENCH_NUMERATOR = Fraction(1001, 3001)
@@ -200,13 +200,24 @@ def _cmd_div(args) -> int:
     return _run(args, sd_ops.divide, [x, y], x / y)
 
 
+def _count(text: str) -> int:
+    """A ``--digits`` count: ASCII decimal digits with an optional leading
+    ``-``.  ``int`` alone also takes other scripts' digits, ``_`` and
+    surrounding space."""
+    digits = text[1:] if text[:1] == "-" else text
+    try:
+        if not _is_decimal(digits):
+            raise ValueError
+        return int(text)  # also raises past int's digit limit
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_digit_list(text: str) -> list[int]:
     try:
-        counts = [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
+        counts = [_count(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
         raise CliFailure(2, f"error: cannot parse digit list: {text!r}") from exc
-    if not counts:
-        raise CliFailure(2, f"error: empty digit list: {text!r}")
     if any(c <= 0 for c in counts):
         raise CliFailure(3, "precondition violated: digit counts must be positive")
     if any(a >= b for a, b in zip(counts, counts[1:])):
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, digits_default: int) -> None:
-        p.add_argument("--digits", type=int, default=digits_default,
+        p.add_argument("--digits", type=_count, default=digits_default,
                        help="number of output symbols")
         p.add_argument("--code", choices=("sd", "gray"), default="sd",
                        help="output coding (default sd)")

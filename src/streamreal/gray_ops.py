@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import sd_ops
-from .kernel import GrayG, GrayH, GrayNode, SdStream, gray_from_signs, stream_from_digits
+from .kernel import GrayG, GrayH, GrayNode, SdStream, stream_from_digits
 
-_ONE = GrayG.sign_node(1, GrayG.constant(-1))
+_ONE = GrayG.cons(1, GrayG.constant(-1))
 
 
 def one() -> GrayG:
@@ -75,13 +75,11 @@ def negate(node: GrayNode) -> GrayNode:
 
 
 def _switch_mode(node: GrayNode, cls: type) -> GrayNode:
-    def thunk() -> tuple:
+    def pull():
         c = node.force()
-        if c.head is not None:
-            return c.head, negate(c.tail)
-        return None, c.tail
+        raise StopIteration(cls.cons(c.head, c.tail if c.head is None else negate(c.tail)))
 
-    return cls(thunk)
+    return cls(pull)
 
 
 def to_h(g: GrayG) -> GrayH:
@@ -165,24 +163,24 @@ def from_sd(u: SdStream) -> GrayG:
 
 
 class _Source:
-    """Thunk of a built head cell: runs the real thunk and keeps the
-    signed-digit stream ``u`` read, for :func:`to_sd` to hand back."""
+    """Pull of a code's head cell that keeps the signed-digit stream ``u``
+    it reads, for :func:`to_sd` to hand back.  Forced, it starts the
+    from-SD automaton in the mode ``cls`` and carries its first cell, so
+    the tail cells pull from the automaton, not from here."""
 
-    __slots__ = ("u", "thunk")
+    __slots__ = ("u", "cls")
 
-    def __init__(self, u: SdStream, thunk) -> None:
+    def __init__(self, u: SdStream, cls: type) -> None:
         self.u = u
-        self.thunk = thunk
+        self.cls = cls
 
-    def __call__(self) -> tuple:
-        return self.thunk()
+    def __call__(self):
+        raise StopIteration(stream_from_digits(_from_sd(self.u, self.cls is GrayG), self.cls))
 
 
 def _from_sd_in(cls: type, u: SdStream) -> GrayNode:
     """The from-SD automaton started in the mode of ``cls``, flag 1."""
-    head = gray_from_signs(_from_sd(u, cls is GrayG), cls)
-    head._thunk = _Source(u, head._thunk)
-    return head
+    return cls(_Source(u, cls))
 
 
 def _from_sd(u: SdStream, in_g: bool) -> Iterator:
@@ -208,9 +206,9 @@ def to_sd(node: GrayNode) -> SdStream:
     A code that :func:`from_sd` or a Gray op built, read before its head is
     forced, gives back the signed-digit stream it was built from.
     """
-    thunk = node._thunk
-    if type(thunk) is _Source:
-        return thunk.u
+    pull = node._pull
+    if type(pull) is _Source:
+        return pull.u
     return stream_from_digits(_to_sd(node))
 
 

@@ -19,15 +19,19 @@ Both codings are chains of one cell class, :class:`Cell`, a pair
   ``x_h/2``.
 
 Every automaton over these cells is a Python generator that takes its input
-cells as arguments and yields one output symbol per step.  One driver per
-coding, :func:`stream_from_digits` and :func:`gray_from_signs`, turns it
-into cells, resuming it once per forced cell.  A generator ends its
-stream in one way only, by returning a cell, which the driver forces: the
-cell being forced takes its head and tail, and the stream goes on as the
-returned one, which may be an input the generator has not read.  A
-generator drops each input cell once it has moved past it, so the forced
-prefix of an input is garbage as soon as every reader has moved on:
-memory grows with the live frontier, not the history.
+cells as arguments and yields one output symbol per step.  One driver,
+:meth:`Cell.force`, runs them all: an unforced cell holds the generator's
+``__next__`` as its *pull* (:func:`stream_from_digits`), and forcing the
+cell resumes it once, sets ``head`` to the symbol and makes ``tail`` a new
+cell with the same pull, of the class the mode asks for: ``SdStream`` for
+a digit, ``GrayG`` after a sign and ``GrayH`` after a delay.  A generator
+ends its stream in one way only, by returning a cell, which its
+``StopIteration`` carries: the cell being forced forces that cell and takes
+its head and tail, and the stream goes on as the returned one, which may be
+an input the generator has not read.  A generator drops each input cell
+once it has moved past it, so the forced prefix of an input is garbage as
+soon as every reader has moved on: memory grows with the live frontier, not
+the history.
 The only generators over Gray cells are the two conversions and the force
 counter: every Gray operation runs a signed-digit automaton between the
 conversions (:mod:`streamreal.gray_ops`).
@@ -52,15 +56,19 @@ class Cell:
 
     ``head``/``tail`` are plain attributes that :meth:`force` sets; an
     unforced cell has neither (all helpers in this package force before
-    reading).
+    reading) and holds a *pull* instead: a callable, normally a generator's
+    ``__next__``, that returns the cell's symbol or raises
+    ``StopIteration(cell)`` to say the stream goes on as ``cell``.
     """
 
-    __slots__ = ("head", "tail", "_thunk")
+    __slots__ = ("head", "tail", "_pull")
     head: Any
     tail: Any
+    # The class of a forced cell's tail, indexed by ``head is None``.
+    _tail_classes: tuple
 
-    def __init__(self, thunk: Callable[[], tuple[Any, "Cell"]]):
-        self._thunk = thunk
+    def __init__(self, pull: Callable[[], Any]):
+        self._pull = pull
 
     @classmethod
     def cons(cls, head: Any, tail: "Cell") -> "Cell":
@@ -68,7 +76,7 @@ class Cell:
         cell = cls.__new__(cls)
         cell.head = head
         cell.tail = tail
-        cell._thunk = None
+        cell._pull = None
         return cell
 
     @classmethod
@@ -82,16 +90,36 @@ class Cell:
         return cell
 
     def force(self) -> "Cell":
-        if self._thunk is not None:
+        """Evaluate the cell once: the only code that resumes a pull.
+
+        A symbol becomes ``head``, and ``tail`` a new cell of the class its
+        mode asks for, pulling from the same source.  A carried cell is
+        forced here and lends its ``head`` and ``tail``; a pull that has
+        already raised carries none, and its stream cannot go on.
+        """
+        if self._pull is not None:
             with _FORCE_LOCK:
-                thunk = self._thunk
-                if thunk is not None:
-                    self.head, self.tail = thunk()
-                    self._thunk = None
+                pull = self._pull
+                if pull is not None:
+                    try:
+                        head = pull()
+                    except StopIteration as stop:
+                        cell = stop.value
+                        if cell is None:
+                            raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
+                    else:
+                        self.head = head
+                        self.tail = self._tail_classes[head is None](pull)
+                        self._pull = None
+                        return self
+                    cell = cell.force()
+                    self.head = cell.head
+                    self.tail = cell.tail
+                    self._pull = None
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug display only
-        if self._thunk is not None:
+        if self._pull is not None:
             return f"{type(self).__name__}(<unforced>)"
         return f"{type(self).__name__}({self.head}, ...)"
 
@@ -105,18 +133,14 @@ class SdStream(Cell):
     __slots__ = ()
 
 
+SdStream._tail_classes = (SdStream, SdStream)
+
+
 class GrayNode(Cell):
     """Gray-code node: sign node ``(s, rest_g)`` or delay ``(None, rest_h)``."""
 
     __slots__ = ()
     is_g: bool
-
-    @classmethod
-    def sign_node(cls, sign: int, rest: "GrayG") -> "GrayNode":
-        """Sign node ``(sign, rest)``; ``sign`` must be +1 or -1."""
-        if sign not in (-1, 1):
-            raise ValueError(f"not a proper digit: {sign!r}")
-        return cls.cons(sign, rest)
 
 
 class GrayG(GrayNode):
@@ -133,66 +157,22 @@ class GrayH(GrayNode):
     is_g = False
 
 
-# The drivers' recursive cell builders live at module level on purpose: a
-# nested builder that mentions itself would close over its own cell and
-# form a reference cycle, pinning every stream it reaches until a cyclic
-# collection.  As globals, the whole forced pyramid dies by refcounting.
-
-def _finished(stop: StopIteration) -> Cell:
-    """The cell a generator returned to splice onto; a generator that has
-    already raised is finished without one, and forcing its cells again
-    fails.  The drivers force the cell in their thunk: forcing it here
-    would cost every spliced level one frame more."""
-    if stop.value is None:
-        raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
-    return stop.value
+GrayNode._tail_classes = (GrayG, GrayH)
 
 
-def _sd_cell(pull: Callable[[], int]) -> SdStream:
-    def thunk() -> tuple[int, SdStream]:
-        try:
-            return pull(), _sd_cell(pull)
-        except StopIteration as stop:
-            cell = _finished(stop)
-        cell = cell.force()
-        return cell.head, cell.tail
-
-    return SdStream(thunk)
-
-
-def stream_from_digits(digits: Iterator[int]) -> SdStream:
-    """Stream pulling one digit per forced cell from ``digits``.
+def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:
+    """Stream of class ``cls`` pulling one symbol per forced cell from
+    ``symbols``.
 
     The iterator is advanced only when a new cell is forced, so generators
     passed here stay as lazy as the corecursion they implement.  When a
     generator returns a cell, the cell being forced takes its head and tail
-    and the stream continues as the returned one.
+    and the stream continues as the returned one.  For Gray codes ``None``
+    marks a delay, the rest of a sign node is mode G and the rest of a
+    delay mode H; a returned node should be of the mode the chain is in at
+    that point.
     """
-    return _sd_cell(digits.__next__)
-
-
-def _gray_cell(pull: Callable[[], Any], cls: type) -> GrayNode:
-    def thunk() -> tuple[Any, GrayNode]:
-        try:
-            sign = pull()
-            return sign, _gray_cell(pull, GrayH if sign is None else GrayG)
-        except StopIteration as stop:
-            cell = _finished(stop)
-        cell = cell.force()
-        return cell.head, cell.tail
-
-    return cls(thunk)
-
-
-def gray_from_signs(signs: Iterator[Any], cls: type = GrayG) -> GrayNode:
-    """Assemble Gray nodes of class ``cls`` onward from a sign sequence.
-
-    ``None`` marks a delay.  Mode bookkeeping follows the constructor types:
-    the rest of a sign node is mode G, the rest of a delay node is mode H.
-    A returned node ends the chain as in :func:`stream_from_digits`; its
-    class should be the mode the chain is in at that point.
-    """
-    return _gray_cell(signs.__next__, cls)
+    return cls(symbols.__next__)
 
 
 def _unfold(state: Any, step: Callable[[Any], tuple[int, Any]]) -> Iterator[int]:
@@ -270,9 +250,7 @@ def with_force_count(u: Cell) -> tuple[Cell, ForceCount]:
     the tally.
     """
     counter = ForceCount()
-    if isinstance(u, SdStream):
-        return stream_from_digits(_counted(counter, u)), counter
-    return gray_from_signs(_counted(counter, u), type(u)), counter
+    return stream_from_digits(_counted(counter, u), type(u)), counter
 
 
 with_force_count_gray = with_force_count

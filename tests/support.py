@@ -17,7 +17,6 @@ from streamreal.kernel import (
     GrayH,
     GrayNode,
     SdStream,
-    gray_from_signs,
     stream_from_digits,
     with_force_count,
 )
@@ -70,6 +69,17 @@ def walk(op, inputs, n: int) -> list[tuple]:
         out.append((type(cell), cell.head, *[counter.count for _, counter in counted]))
         cell = cell.tail
     return out
+
+
+def lazy(cls: type, thunk) -> Cell:
+    """Unforced cell of class ``cls`` that ``thunk() -> (head, tail)``
+    evaluates when the cell is forced."""
+
+    def pull():
+        head, tail = thunk()
+        raise StopIteration(cls.cons(head, tail))
+
+    return cls(pull)
 
 
 def tail_at(u: Cell, n: int) -> Cell:
@@ -149,7 +159,7 @@ def reference_double(u: SdStream) -> SdStream:
         rest = rest.force()
         return rest.head, rest.tail
 
-    return SdStream(thunk)
+    return lazy(SdStream, thunk)
 
 
 def reference_twice_minus(u: SdStream, v: SdStream) -> SdStream:
@@ -228,7 +238,7 @@ def reference_gray_divide(x: GrayG, y: GrayG) -> GrayG:
     layer and output symbol.
     """
     neg_half_y = gray_ops.to_sd(gray_ops.half(gray_ops.negate(y)))
-    return gray_from_signs(_reference_gray_divide(x, neg_half_y, gray_ops.to_sd(gray_ops.half(y))))
+    return stream_from_digits(_reference_gray_divide(x, neg_half_y, gray_ops.to_sd(gray_ops.half(y))), GrayG)
 
 
 def _reference_gray_divide(top: GrayG, sd_neg_half_y: SdStream, sd_pos_half_y: SdStream) -> Iterator:
@@ -268,7 +278,7 @@ def reference_gray_negate(node: GrayNode) -> GrayNode:
             return -c.head, c.tail
         return None, reference_gray_negate(c.tail)
 
-    return type(node)(thunk)
+    return lazy(type(node), thunk)
 
 
 def reference_gray_switch_mode(node: GrayNode, cls: type) -> GrayNode:
@@ -281,7 +291,7 @@ def reference_gray_switch_mode(node: GrayNode, cls: type) -> GrayNode:
             return c.head, reference_gray_negate(c.tail)
         return None, c.tail
 
-    return cls(thunk)
+    return lazy(cls, thunk)
 
 
 def reference_gray_shift(node: GrayNode, direction: int) -> GrayNode:
@@ -298,7 +308,7 @@ def reference_gray_shift(node: GrayNode, direction: int) -> GrayNode:
             return direction, reference_gray_negate(c.tail)
         return direction, reference_gray_shift(reference_gray_switch_mode(c.tail, GrayG), end)
 
-    return type(node)(thunk)
+    return lazy(type(node), thunk)
 
 
 def reference_gray_double(g: GrayG) -> GrayG:
@@ -315,4 +325,4 @@ def reference_gray_double(g: GrayG) -> GrayG:
         rest = rest.force()
         return rest.head, rest.tail
 
-    return GrayG(thunk)
+    return lazy(GrayG, thunk)

@@ -92,6 +92,18 @@ def test_non_positive_digits_exit_3(capsys):
             assert err == f"precondition violated: --digits >= 1 (--digits = {digits})\n"
 
 
+@pytest.mark.parametrize("digits", ["١٠", "1_0", "+10", " 10", "-١", "²"])
+def test_digits_other_than_ascii_decimal_exit_2(capsys, digits):
+    # int() takes other scripts' digits, "_", a "+" and surrounding space
+    for argv in (["encode", "1/2"], ["op", "avg", "1/2", "1/4", "--code", "gray"],
+                 ["div", "1/4", "1/2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--digits", digits])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"argument --digits: invalid int value: {digits!r}" in captured.err
+
+
 # --- op ----------------------------------------------------------------------
 
 def test_op_neg(capsys):
@@ -230,6 +242,13 @@ def test_bench_validates_counts(capsys):
     code, _, err = run_cli(capsys, "bench", "--digits", "0,5")
     assert code == 3
     assert "positive" in err
+
+
+@pytest.mark.parametrize("counts", [",10,,20", "10,20,", "", "١٠,20", "10,2_0", "10, 20", "+5,10"])
+def test_bench_digit_list_of_ascii_decimals_only(capsys, counts):
+    code, out, err = run_cli(capsys, "bench", "--digits", counts)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse digit list: {counts!r}\n"
 
 
 # --- run report ---------------------------------------------------------------------

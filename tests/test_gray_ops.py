@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import GrayG, GrayH, gray_from_signs, take_gray_prefix, take_prefix, with_force_count
+from streamreal.kernel import GrayG, GrayH, stream_from_digits, take_gray_prefix, take_prefix, with_force_count
 from tests.support import (
     division_pair,
     random_sd,
@@ -108,7 +108,7 @@ def test_to_h_preserves_value():
 
 def test_shift_sign_cases_structure():
     # leading +1 sign forces x = 0: result is the constant code of +-1
-    g = GrayG.sign_node(1, gray_ops.one())
+    g = GrayG.cons(1, gray_ops.one())
     up = gray_ops.shift(g, 1)
     assert take_gray_prefix(up, 1) == [("g", 1)]
     assert within(gray_ops.decode(up.force().tail, 30), Fraction(-1), 30)
@@ -131,7 +131,7 @@ def test_shift_oracle():
 
 
 def test_shift_h_oracle():
-    zero = GrayH.sign_node(1, gray(-1))  # leading +1 sign in mode H: x = 0
+    zero = GrayH.cons(1, gray(-1))  # leading +1 sign in mode H: x = 0
     assert within(gray_ops.decode(gray_ops.shift(zero, 1), 40), Fraction(1), 40)
     assert within(gray_ops.decode(gray_ops.shift(zero, -1), 40), Fraction(-1), 40)
     rng = random.Random(89)
@@ -268,7 +268,7 @@ def test_conversions_are_mutually_inverse_exactly():
         assert take_prefix(gray_ops.to_sd(gray_ops.from_sd(u)), SYMBOLS) == take_prefix(u, SYMBOLS)
         # a mode-G code from any symbols: signs, delays, then one repeated
         symbols = [rng.choice((-1, None, 1)) for _ in range(rng.randint(0, 10))]
-        g = gray_from_signs(itertools.chain(symbols, itertools.repeat(rng.choice((-1, None, 1)))))
+        g = stream_from_digits(itertools.chain(symbols, itertools.repeat(rng.choice((-1, None, 1)))), GrayG)
         back = gray_ops.from_sd(gray_ops.to_sd(g))
         assert take_gray_prefix(back, SYMBOLS) == take_gray_prefix(g, SYMBOLS)
 

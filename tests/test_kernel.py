@@ -8,10 +8,8 @@ import pytest
 from streamreal import gray_ops, sd_ops
 from streamreal.kernel import (
     GrayG,
-    GrayH,
     SdStream,
     Splice,
-    gray_from_signs,
     stream_from_digits,
     take_gray_prefix,
     take_prefix,
@@ -59,7 +57,7 @@ def test_gray_generator_ends_by_returning_the_node_it_splices_onto():
         yield 1
         return rest
 
-    g = gray_from_signs(signs())
+    g = stream_from_digits(signs(), GrayG)
     assert counter.count == 0
     assert take_gray_prefix(g, 4) == [("g", None), ("h", 1)] + take_gray_prefix(rest, 2)
     assert counter.count == 2
@@ -154,13 +152,6 @@ def test_cons_and_constant():
     assert take_prefix(u, 4) == [1, -1, -1, -1]
 
 
-def test_gray_constructor_validation():
-    with pytest.raises(ValueError):
-        GrayG.sign_node(0, gray_ops.one())
-    with pytest.raises(ValueError):
-        GrayH.sign_node(2, gray_ops.one())
-
-
 def test_gray_prefix_confines_value():
     # n constructors pin the value to an interval of width 2**(1-n)
     rng = random.Random(11)
@@ -195,11 +186,11 @@ def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
 
 @pytest.mark.parametrize("code", ["sd", "gray"])
 def test_deep_double_half_chain_yields(code):
-    # double keeps its frame-free splice, so a level costs less than an
-    # average's generator layer
+    # double hands its input back to splice, which force forces in its own
+    # frame, so a level costs a third of a generator layer
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
     x = ops.encode(Fraction(1, 3))
-    for _ in range(400):
+    for _ in range(800):
         x = ops.double(ops.half(x))
     assert len(take(x, 3)) == 3
 
@@ -214,3 +205,15 @@ def test_deep_twice_minus_chain_yields(code):
         x = ops.twice_minus(x, y)
     assert len(take(x, 3)) == 3
     assert abs(ops.decode(x, 20) - Fraction(3, 4)) <= Fraction(1, 1 << 20)
+
+
+@pytest.mark.parametrize("code", ["sd", "gray"])
+@pytest.mark.parametrize("op", ["average", "negate"])
+def test_deep_generator_chain_yields(code, op):
+    # force resumes each generator itself: a level costs force's frame and
+    # the generator's
+    ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
+    x = ops.encode(Fraction(1, 3))
+    for _ in range(300):
+        x = ops.average(x, ops.encode(Fraction(-1, 5))) if op == "average" else ops.negate(x)
+    assert len(take(x, 3)) == 3
