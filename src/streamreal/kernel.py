@@ -189,7 +189,7 @@ def unfold_sd(seed: Any, step: Callable[[Any], tuple[int, Any]]) -> SdStream:
     ``step`` maps a state to ``(digit, next)`` where ``next`` is either
     ``Splice(stream)`` -- splicing an existing stream in place of further
     corecursion -- or the next state.  A splice ends the generator with the
-    cell ``digit :: stream``, which :func:`stream_from_digits` takes over.
+    cell ``digit :: stream``, which :meth:`Cell.force` takes over.
     ``step`` must be total on states reachable from ``seed``.
     """
     return stream_from_digits(_unfold(seed, step))
