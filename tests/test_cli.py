@@ -77,6 +77,11 @@ def test_encode_parse_error_exit_2(capsys):
         assert "cannot parse rational" in err
 
 
+def test_encode_zero_denominator_exit_2(capsys):
+    code, out, err = run_cli(capsys, "encode", "1/0")
+    assert (code, out, err) == (2, "", "error: zero-denominator\n")
+
+
 def test_encode_range_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "encode", "3/2")
     assert code == 3

@@ -52,6 +52,12 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0"])
+def test_parse_rational_zero_denominator_message(text):
+    with pytest.raises(ValueError, match="^zero-denominator$"):
+        parse_rational(text)
+
+
 @given(fractions)
 def test_format_parse_roundtrip(a):
     assert parse_rational(format_rational(a)) == a
