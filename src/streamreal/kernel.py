@@ -253,4 +253,5 @@ def with_force_count(u: Cell) -> tuple[Cell, ForceCount]:
     return stream_from_digits(_counted(counter, u), type(u)), counter
 
 
+# Kept for perfbench/jobs.py, its last caller; ROADMAP item 1 retires it.
 with_force_count_gray = with_force_count

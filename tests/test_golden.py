@@ -16,12 +16,11 @@ from fractions import Fraction
 import pytest
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import take_gray_prefix, take_prefix, with_force_count, with_force_count_gray
+from streamreal.kernel import take_gray_prefix, take_prefix, with_force_count
 from tests.support import division_pair, unit_fraction
 
 OPS = {"sd": sd_ops, "gray": gray_ops}
 TAKE = {"sd": take_prefix, "gray": take_gray_prefix}
-COUNTED = {"sd": with_force_count, "gray": with_force_count_gray}
 OP_DIGITS = 200
 DIV_DIGITS = 120
 PER_OP = 6
@@ -68,11 +67,11 @@ def _run(code: str, name: str, values: tuple[Fraction, ...]):
         # from_sd reads an SD stream and writes Gray; to_sd the reverse.
         (a,) = values
         source = "sd" if name == "from_sd" else "gray"
-        wrapped, counter = COUNTED[source](OPS[source].encode(a))
+        wrapped, counter = with_force_count(OPS[source].encode(a))
         out = getattr(gray_ops, name)(wrapped)
         target = "gray" if name == "from_sd" else "sd"
         return TAKE[target](out, OP_DIGITS), [counter.count]
-    wrapped = [COUNTED[code](OPS[code].encode(a)) for a in values]
+    wrapped = [with_force_count(OPS[code].encode(a)) for a in values]
     out = getattr(OPS[code], name)(*[stream for stream, _ in wrapped])
     n = DIV_DIGITS if name == "divide" else OP_DIGITS
     return TAKE[code](out, n), [counter.count for _, counter in wrapped]

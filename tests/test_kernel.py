@@ -15,7 +15,6 @@ from streamreal.kernel import (
     take_prefix,
     unfold_sd,
     with_force_count,
-    with_force_count_gray,
 )
 from tests.support import sd, tail_at, unit_fraction, within
 
@@ -164,7 +163,7 @@ def test_gray_prefix_confines_value():
 
 
 def test_gray_counter():
-    g, counter = with_force_count_gray(gray_ops.encode(Fraction(5, 8)))
+    g, counter = with_force_count(gray_ops.encode(Fraction(5, 8)))
     assert counter.count == 0
     take_gray_prefix(g, 6)
     assert counter.count == 6
