@@ -38,10 +38,8 @@ BENCH_DENOMINATOR = Fraction(10001, 20001)
 BENCH_MIN_SECONDS = 0.2
 
 _SD_CHARS = {1: "+", 0: "0", -1: "-"}
-_SD_DIGITS = {"+": 1, "0": 0, "-": -1}
 _GRAY_TOKENS = {("g", 1): "R", ("g", -1): "L", ("g", None): "U",
                 ("h", 1): "Fr", ("h", -1): "Fl", ("h", None): "D"}
-_GRAY_CONSTRUCTORS = {token: kind for kind, token in _GRAY_TOKENS.items()}
 
 
 class CliFailure(Exception):
@@ -56,24 +54,8 @@ def sd_to_text(digits: list[int]) -> str:
     return "".join(_SD_CHARS[d] for d in digits)
 
 
-def text_to_sd(text: str) -> list[int]:
-    try:
-        return [_SD_DIGITS[ch] for ch in text]
-    except KeyError as exc:
-        raise ValueError(f"not a signed-digit string: {text!r}") from exc
-
-
 def gray_to_text(prefix: list[tuple[str, int | None]]) -> str:
     return " ".join(_GRAY_TOKENS[entry] for entry in prefix)
-
-
-def text_to_gray(text: str) -> list[tuple[str, int | None]]:
-    out = []
-    for token in text.split():
-        if token not in _GRAY_CONSTRUCTORS:
-            raise ValueError(f"not a Gray-code token: {token!r}")
-        out.append(_GRAY_CONSTRUCTORS[token])
-    return out
 
 
 @dataclass(frozen=True)

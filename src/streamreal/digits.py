@@ -13,16 +13,6 @@ from fractions import Fraction
 _MINUS_SIGNS = "−-"
 
 
-def make_fraction(numerator: int, denominator: int) -> Fraction:
-    """Canonical reduced fraction with positive denominator.
-
-    Raises ``ValueError("zero-denominator")`` when ``denominator`` is 0.
-    """
-    if denominator == 0:
-        raise ValueError("zero-denominator")
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``P/Q`` or a bare integer ``P`` into a fraction.
 
@@ -44,7 +34,9 @@ def parse_rational(text: str) -> Fraction:
         denominator = int(den_text) if slash else 1
     except ValueError:
         raise ValueError(f"cannot parse rational: {text!r}") from None
-    return make_fraction(numerator, denominator)
+    if denominator == 0:
+        raise ValueError("zero-denominator")
+    return Fraction(numerator, denominator)
 
 
 def _is_decimal(text: str) -> bool:

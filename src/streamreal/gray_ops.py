@@ -11,13 +11,12 @@ for symbol, and every Gray operation is its :mod:`streamreal.sd_ops`
 counterpart between them, ``from_sd(sd_ops.op(to_sd(x), ...))``.  The
 conjugation is exact: it emits the constructors, modes included, and reads
 the inputs exactly as far as the direct Gray equations (Tsuiki 2002;
-Berger, Miyamoto, Schwichtenberg and Tsuiki 2016) do.  :func:`negate` and
-:func:`shift` work in either mode and keep it.  :func:`to_sd` of a code
-that an operation built and nobody has forced yet is the signed-digit
-stream the code was built from, so a chain of Gray operations runs as the
-chain of signed-digit ones with one conversion at each end.  Only the
-conversions, :func:`decode` and the :func:`to_h`/:func:`to_g` rewrite
-read Gray nodes.
+Berger, Miyamoto, Schwichtenberg and Tsuiki 2016) do.  :func:`negate`
+works in either mode and keeps it.  :func:`to_sd` of a code that an
+operation built and nobody has forced yet is the signed-digit stream the
+code was built from, so a chain of Gray operations runs as the chain of
+signed-digit ones with one conversion at each end.  Only the conversions,
+:func:`decode` and the :func:`to_h`/:func:`to_g` rewrite read Gray nodes.
 """
 
 from __future__ import annotations
@@ -94,14 +93,6 @@ def to_h(g: GrayG) -> GrayH:
 def to_g(h: GrayH) -> GrayG:
     """Inverse rewrite of :func:`to_h` (the same equations)."""
     return _switch_mode(h, GrayG)
-
-
-def shift(node: GrayNode, direction: int) -> GrayNode:
-    """For ``x <= 0``: code of ``x + 1`` (direction +1) or ``-(x + 1)`` (-1),
-    in the mode of ``node``: the signed-digit ``add_one``, negated for
-    direction -1, between the conversions."""
-    u = sd_ops.add_one(to_sd(node))
-    return _from_sd_in(type(node), u if direction == 1 else sd_ops.negate(u))
 
 
 def add_one(g: GrayG) -> GrayG:

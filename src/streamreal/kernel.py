@@ -40,15 +40,9 @@ conversions (:mod:`streamreal.gray_ops`).
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator
 
 _FORCE_LOCK = threading.RLock()
-
-
-class Splice(NamedTuple):
-    """Marks a corecursion step result that splices an existing stream."""
-
-    stream: Any
 
 
 class Cell:
@@ -178,19 +172,14 @@ def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:
 def _unfold(state: Any, step: Callable[[Any], tuple[int, Any]]) -> Iterator[int]:
     while True:
         digit, state = step(state)
-        if type(state) is Splice:
-            return SdStream.cons(digit, state.stream)
         yield digit
 
 
 def unfold_sd(seed: Any, step: Callable[[Any], tuple[int, Any]]) -> SdStream:
     """Corecursion operator for signed-digit streams.
 
-    ``step`` maps a state to ``(digit, next)`` where ``next`` is either
-    ``Splice(stream)`` -- splicing an existing stream in place of further
-    corecursion -- or the next state.  A splice ends the generator with the
-    cell ``digit :: stream``, which :meth:`Cell.force` takes over.
-    ``step`` must be total on states reachable from ``seed``.
+    ``step`` maps a state to ``(digit, next_state)`` and must be total on
+    states reachable from ``seed``.
     """
     return stream_from_digits(_unfold(seed, step))
 

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
-a per-symbol walk of an operation's output, and the reference
-implementations that the library is checked against: the signed-digit
+a per-symbol walk of an operation's output, parsers of the CLI's digit
+output, and the reference implementations that the library is checked against: the signed-digit
 generators of the average and the doublings, the stream-tower divisions
 and the direct Gray-code equations."""
 
@@ -88,6 +88,29 @@ def tail_at(u: Cell, n: int) -> Cell:
     for _ in range(n):
         cell = cell.force().tail
     return cell
+
+
+# Parsers of the two wire formats that ``streamreal.cli`` prints, with their
+# own token tables, so a round trip checks the printer against them.
+SD_DIGITS = {"+": 1, "0": 0, "-": -1}
+GRAY_CONSTRUCTORS = {"R": ("g", 1), "L": ("g", -1), "U": ("g", None),
+                     "Fr": ("h", 1), "Fl": ("h", -1), "D": ("h", None)}
+
+
+def text_to_sd(text: str) -> list[int]:
+    """Digits of a signed-digit line such as ``+0-``."""
+    try:
+        return [SD_DIGITS[ch] for ch in text]
+    except KeyError as exc:
+        raise ValueError(f"not a signed-digit string: {text!r}") from exc
+
+
+def text_to_gray(text: str) -> list[tuple[str, int | None]]:
+    """``(mode, sign)`` pairs of a Gray-code line such as ``R U Fl``."""
+    try:
+        return [GRAY_CONSTRUCTORS[token] for token in text.split()]
+    except KeyError as exc:
+        raise ValueError(f"not a Gray-code token: {exc.args[0]!r}") from exc
 
 
 # The signed-digit average, shift and double as their own generators, and

@@ -8,15 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from streamreal.cli import (
-    gray_to_text,
-    main,
-    report_line,
-    sd_to_text,
-    text_to_gray,
-    text_to_sd,
-)
-from tests.support import within
+from streamreal.cli import gray_to_text, main, report_line, sd_to_text
+from tests.support import text_to_gray, text_to_sd, within
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -6,23 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamreal.digits import format_rational, make_fraction, parse_rational
+from streamreal.digits import format_rational, parse_rational
 
 fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
-
-
-def test_make_fraction_normalizes():
-    assert make_fraction(2, 4) == Fraction(1, 2)
-    assert make_fraction(-3, -6) == Fraction(1, 2)
-    assert make_fraction(0, 7) == Fraction(0, 1)
-    q = make_fraction(-10, 4)
-    assert q.denominator > 0 and q == Fraction(-5, 2)
-
-
-def test_make_fraction_zero_denominator():
-    with pytest.raises(ValueError, match="zero-denominator"):
-        make_fraction(1, 0)
 
 
 @given(fractions, fractions)

@@ -104,45 +104,6 @@ def test_to_h_preserves_value():
         assert within(gray_ops.decode(gray_ops.to_h(gray(a)), 60), a, 60)
 
 
-# --- shift (x -> x+1 / -(x+1) on x <= 0) ---------------------------------------
-
-def test_shift_sign_cases_structure():
-    # leading +1 sign forces x = 0: result is the constant code of +-1
-    g = GrayG.cons(1, gray_ops.one())
-    up = gray_ops.shift(g, 1)
-    assert take_gray_prefix(up, 1) == [("g", 1)]
-    assert within(gray_ops.decode(up.force().tail, 30), Fraction(-1), 30)
-    down = gray_ops.shift(g, -1)
-    assert take_gray_prefix(down, 1) == [("g", -1)]
-    assert within(gray_ops.decode(down, 30), Fraction(-1), 30)
-
-    delayed = gray(0)
-    assert take_gray_prefix(gray_ops.shift(delayed, 1), 1) == [("g", 1)]
-    assert take_gray_prefix(gray_ops.shift(delayed, -1), 1) == [("g", -1)]
-
-
-def test_shift_oracle():
-    rng = random.Random(83)
-    for _ in range(30):
-        a = -abs(unit_fraction(rng))
-        g = gray(a)
-        assert within(gray_ops.decode(gray_ops.shift(g, 1), 80), a + 1, 80)
-        assert within(gray_ops.decode(gray_ops.shift(g, -1), 80), -(a + 1), 80)
-
-
-def test_shift_h_oracle():
-    zero = GrayH.cons(1, gray(-1))  # leading +1 sign in mode H: x = 0
-    assert within(gray_ops.decode(gray_ops.shift(zero, 1), 40), Fraction(1), 40)
-    assert within(gray_ops.decode(gray_ops.shift(zero, -1), 40), Fraction(-1), 40)
-    rng = random.Random(89)
-    for _ in range(30):
-        a = -abs(unit_fraction(rng))
-        h = gray_ops.to_h(gray(a))
-        assert take_gray_prefix(gray_ops.shift(h, 1), 1)[0][0] == "h"
-        assert within(gray_ops.decode(gray_ops.shift(h, 1), 80), a + 1, 80)
-        assert within(gray_ops.decode(gray_ops.shift(h, -1), 80), -(a + 1), 80)
-
-
 def test_add_one_sub_one_oracle():
     rng = random.Random(97)
     for _ in range(30):
@@ -276,16 +237,16 @@ def test_conversions_are_mutually_inverse_exactly():
 # gray_ops op -> the same op built from the direct Gray equations
 REFERENCE_OPS_G = {
     "negate": (gray_ops.negate, reference_gray_negate),
-    "shift+1": (lambda x: gray_ops.shift(x, 1), lambda x: reference_gray_shift(x, 1)),
-    "shift-1": (lambda x: gray_ops.shift(x, -1), lambda x: reference_gray_shift(x, -1)),
     "add_one": (gray_ops.add_one, lambda x: reference_gray_shift(x, 1)),
     "sub_one": (gray_ops.sub_one, lambda x: reference_gray_shift(reference_gray_negate(x), -1)),
     "half": (gray_ops.half, lambda x: GrayG.cons(None, reference_gray_switch_mode(x, GrayH))),
     "double": (gray_ops.double, reference_gray_double),
     "to_h": (gray_ops.to_h, lambda x: reference_gray_switch_mode(x, GrayH)),
 }
-REFERENCE_OPS_H = {name: REFERENCE_OPS_G[name] for name in ("negate", "shift+1", "shift-1")}
-REFERENCE_OPS_H["to_g"] = (gray_ops.to_g, lambda x: reference_gray_switch_mode(x, GrayG))
+REFERENCE_OPS_H = {
+    "negate": REFERENCE_OPS_G["negate"],
+    "to_g": (gray_ops.to_g, lambda x: reference_gray_switch_mode(x, GrayG)),
+}
 
 
 def test_gray_ops_are_sd_ops_conjugated_by_the_conversions_exactly():

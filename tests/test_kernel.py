@@ -9,7 +9,6 @@ from streamreal import gray_ops, sd_ops
 from streamreal.kernel import (
     GrayG,
     SdStream,
-    Splice,
     stream_from_digits,
     take_gray_prefix,
     take_prefix,
@@ -22,13 +21,6 @@ from tests.support import sd, tail_at, unit_fraction, within
 def test_unfold_constant():
     u = unfold_sd(None, lambda s: (1, s))
     assert take_prefix(u, 5) == [1, 1, 1, 1, 1]
-
-
-def test_unfold_immediate_splice_shares_tail():
-    w = sd([0, -1])
-    u = unfold_sd(None, lambda s: (1, Splice(w)))
-    assert take_prefix(u, 4) == [1, 0, -1, 0]
-    assert u.force().tail is w
 
 
 def test_generator_ends_by_returning_the_cell_it_splices_onto():
