@@ -35,20 +35,17 @@ SURFACE = {
 
 def bound_names(body: list[ast.stmt]) -> set[str]:
     """Names that the statements bind at module level, imports excepted;
-    the bodies of ``if``, ``try`` and ``with`` blocks bind at module level
-    too, those of functions and classes do not."""
+    an ``if`` block binds at module level too, a function or class body
+    does not."""
     names = set()
     for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
-        elif isinstance(node, (ast.If, ast.Try, ast.With)):
-            for field in ("body", "orelse", "finalbody"):
-                names |= bound_names(getattr(node, field, []))
-            for handler in getattr(node, "handlers", []):
-                names |= bound_names(handler.body)
+        elif isinstance(node, ast.If):
+            names |= bound_names(node.body) | bound_names(node.orelse)
     return names
 
 
