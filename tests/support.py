@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
 a per-symbol walk of an operation's output, parsers of the CLI's digit
 output, and the reference implementations that the library is checked against: the signed-digit
-generators of the average and the doublings, the stream-tower divisions
-and the direct Gray-code equations."""
+generators of the average and the doublings, the stream-tower divisions,
+the direct Gray-code equations and the affine Gray decoder."""
 
 from __future__ import annotations
 
@@ -349,3 +349,30 @@ def reference_gray_double(g: GrayG) -> GrayG:
         return rest.head, rest.tail
 
     return lazy(GrayG, thunk)
+
+
+def reference_gray_decode(node: GrayNode, n: int) -> Fraction:
+    """Midpoint after n constructors, read from the Gray nodes alone.
+
+    Walking n constructors composes n affine maps of slope +-1/2, confining
+    the value to an interval of width 2**(1-n); the midpoint is returned
+    exactly.  It does not read ``gray_ops.to_sd``, so it checks the
+    conversions as well as ``gray_ops.decode``.
+    """
+    if n < 0:
+        raise ValueError("prefix length must be >= 0")
+    a, b = 1, 0
+    cur = node
+    for _ in range(n):
+        cur = cur.force()
+        s = cur.head
+        if s is None:
+            b = 2 * b
+        elif cur.is_g:
+            b = a * s + 2 * b
+            a = -a * s
+        else:
+            b = a * s + 2 * b
+            a = a * s
+        cur = cur.tail
+    return Fraction(b, 1 << n)

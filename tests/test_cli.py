@@ -223,6 +223,16 @@ def test_bench_rows_and_exponent(capsys):
     assert lines[3].startswith("growth-exponent=")
 
 
+def test_bench_gray_rows_and_exponent(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--digits", "5,10", "--code", "gray")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for n, line in zip((5, 10), lines):
+        assert report_fields(line)["digits"] == str(n)
+    assert lines[2].startswith("growth-exponent=")
+
+
 def test_bench_single_entry_no_exponent(capsys):
     code, out, _ = run_cli(capsys, "bench", "--digits", "7")
     assert code == 0

@@ -9,6 +9,7 @@ from streamreal.kernel import GrayG, GrayH, stream_from_digits, take_gray_prefix
 from tests.support import (
     division_pair,
     random_sd,
+    reference_gray_decode,
     reference_gray_double,
     reference_gray_negate,
     reference_gray_shift,
@@ -47,6 +48,28 @@ def test_decode_roundtrip_oracle():
         g = gray_ops.from_sd(sd_ops.encode(a))
         for n in (1, 9, 50):
             assert within(gray_ops.decode(g, n), a, n)
+
+
+def test_reference_decode_of_the_encoder_is_within_the_bound():
+    # the affine walk reads Gray nodes only, so this checks from_sd apart from to_sd
+    rng = random.Random(67)
+    for _ in range(60):
+        a = unit_fraction(rng)
+        for n in (0, 1, 7, 40, 90):
+            assert within(reference_gray_decode(gray_ops.encode(a), n), a, n)
+
+
+def test_decode_matches_the_affine_walk_in_value_and_forced_count():
+    rng = random.Random(71)
+    lifts = (gray_ops.from_sd, lambda u: gray_ops.to_h(gray_ops.from_sd(u)))
+    for _ in range(300):
+        u = random_sd(rng, 10)
+        for lift in lifts:
+            n = rng.randint(0, 60)
+            code, counter = with_force_count(lift(u))
+            ref_code, ref_counter = with_force_count(lift(u))
+            assert gray_ops.decode(code, n) == reference_gray_decode(ref_code, n)
+            assert counter.count == ref_counter.count == n
 
 
 # --- negate -------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The package keeps only the names that the ops, the CLI and the oracle use;
 helpers that only tests call live in ``tests/support.py``.  A public name
-enters or leaves a module only together with an edit to ``SURFACE``.
+enters or leaves a module only together with an edit to ``SURFACE``, and a
+private name that one package module imports from another only together
+with an edit to ``PRIVATE_IMPORTS``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ SURFACE = {
     "sd_tower": {"quotient_digits"},
 }
 
+# (importing module, source module, private name), at any depth of the body
+PRIVATE_IMPORTS = {
+    ("cli", "digits", "_is_decimal"),
+    ("sd_tower", "sd_ops", "_is_const"),
+    ("sd_tower", "sd_ops", "_layer_step"),
+}
+
 
 def bound_names(body: list[ast.stmt]) -> set[str]:
     """Names that the statements bind at module level, imports excepted;
@@ -58,3 +67,19 @@ def test_public_names_are_the_committed_set(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     public = {name for name in bound_names(tree.body) if not name.startswith("_")}
     assert public == SURFACE[module]
+
+
+def private_imports(module: str) -> set[tuple[str, str, str]]:
+    """The private names that ``module`` imports from the package, read from
+    every ``from ... import`` of the file, function bodies included."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("streamreal")):
+            source = (node.module or "").rpartition(".")[2]
+            found |= {(module, source, alias.name) for alias in node.names if alias.name.startswith("_")}
+    return found
+
+
+def test_private_imports_between_modules_are_the_committed_set():
+    assert set().union(*(private_imports(module) for module in SURFACE)) == PRIVATE_IMPORTS
