@@ -16,6 +16,8 @@ is the signed-digit encoding of its rational behind a force counter, the
 result is lifted into the output coding.  ``--stats`` therefore counts the
 digits forced on each input, the same numbers in both codings, and decodes
 the signed-digit result (equal to the Gray midpoint of the same prefix).
+``--code`` is the one output switch: :func:`_prefix`, shared with
+``bench``, reads the result in the coding it names.
 """
 
 from __future__ import annotations
@@ -25,24 +27,23 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import gray_ops, sd_ops
 from .digits import _is_decimal, format_rational, parse_rational
-from .kernel import take_gray_prefix, take_prefix, with_force_count
+from .kernel import SdStream, take_gray_prefix, take_prefix, with_force_count
 
-BENCH_NUMERATOR = Fraction(1001, 3001)
-BENCH_DENOMINATOR = Fraction(10001, 20001)
-BENCH_MIN_SECONDS = 0.2
+_BENCH_NUMERATOR = Fraction(1001, 3001)
+_BENCH_DENOMINATOR = Fraction(10001, 20001)
+_BENCH_MIN_SECONDS = 0.2
 
 _SD_CHARS = {1: "+", 0: "0", -1: "-"}
 _GRAY_TOKENS = {("g", 1): "R", ("g", -1): "L", ("g", None): "U",
                 ("h", 1): "Fr", ("h", -1): "Fl", ("h", None): "D"}
 
 
-class CliFailure(Exception):
+class _CliFailure(Exception):
     """Carries the exit code and message for a failed command."""
 
     def __init__(self, exit_code: int, message: str):
@@ -58,20 +59,12 @@ def gray_to_text(prefix: list[tuple[str, int | None]]) -> str:
     return " ".join(_GRAY_TOKENS[entry] for entry in prefix)
 
 
-@dataclass(frozen=True)
-class Coding:
-    """What the commands need of one output coding: how to lift a
-    signed-digit stream into it, how to take a prefix and how to print one."""
-
-    lift: Callable
-    take: Callable
-    to_text: Callable
-
-
-CODINGS = {
-    "sd": Coding(lambda u: u, take_prefix, sd_to_text),
-    "gray": Coding(gray_ops.from_sd, take_gray_prefix, gray_to_text),
-}
+def _prefix(u: SdStream, n: int, code: str) -> list:
+    """The first ``n`` symbols of the signed-digit stream ``u`` lifted into
+    the coding ``code``."""
+    if code == "gray":
+        return take_gray_prefix(gray_ops.from_sd(u), n)
+    return take_prefix(u, n)
 
 
 def report_line(n: int, counts: list[int], elapsed: float,
@@ -92,12 +85,12 @@ def _parse_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise CliFailure(2, f"error: {exc}") from exc
+        raise _CliFailure(2, f"error: {exc}") from exc
 
 
 def _require(condition: bool, inequality: str) -> None:
     if not condition:
-        raise CliFailure(3, f"precondition violated: {inequality}")
+        raise _CliFailure(3, f"precondition violated: {inequality}")
 
 
 def _require_unit(a: Fraction, name: str) -> None:
@@ -110,12 +103,11 @@ def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
     decode them and print the report line against the ``exact`` value."""
     n = args.digits
     _require(n >= 1, f"--digits >= 1 (--digits = {n})")
-    coding = CODINGS[args.code]
+    to_text = gray_to_text if args.code == "gray" else sd_to_text
     inputs = [with_force_count(sd_ops.encode(a)) for a in values]
     u = op(*[stream for stream, _ in inputs])
-    result = coding.lift(u)
     start = time.perf_counter()
-    text = coding.to_text(coding.take(result, n))
+    text = to_text(_prefix(u, n, args.code))
     elapsed = time.perf_counter() - start
     print(text)
     if args.stats:
@@ -161,9 +153,9 @@ def _cmd_op(args) -> int:
     name = args.name
     if name == "avg":
         if len(values) != 2:
-            raise CliFailure(2, "error: avg needs exactly two rationals")
+            raise _CliFailure(2, "error: avg needs exactly two rationals")
     elif len(values) != 1:
-        raise CliFailure(2, f"error: {name} needs exactly one rational")
+        raise _CliFailure(2, f"error: {name} needs exactly one rational")
     _check_op_preconditions(name, values)
     op, exact_op = _OPS[name]
     return _run(args, op, values, exact_op(*values))
@@ -199,11 +191,11 @@ def _parse_digit_list(text: str) -> list[int]:
     try:
         counts = [_count(part) for part in text.split(",")]
     except argparse.ArgumentTypeError as exc:
-        raise CliFailure(2, f"error: cannot parse digit list: {text!r}") from exc
+        raise _CliFailure(2, f"error: cannot parse digit list: {text!r}") from exc
     if any(c <= 0 for c in counts):
-        raise CliFailure(3, "precondition violated: digit counts must be positive")
+        raise _CliFailure(3, "precondition violated: digit counts must be positive")
     if any(a >= b for a, b in zip(counts, counts[1:])):
-        raise CliFailure(3, "precondition violated: digit counts must be ascending")
+        raise _CliFailure(3, "precondition violated: digit counts must be ascending")
     return counts
 
 
@@ -211,20 +203,18 @@ def _time_division(n: int, code: str) -> float:
     """Median time of the bench division to ``n`` symbols (the upper
     median of an even number of runs).
 
-    The division runs until ``BENCH_MIN_SECONDS`` of timed runs have passed,
+    The division runs until ``_BENCH_MIN_SECONDS`` of timed runs have passed,
     at least once, so a count that takes longer is timed once and a short
     one is not left to the host's noise.  The first run in a process also
     pays for what is done once, such as loading the signed-digit tower and
     filling its tables; at a short count the median leaves that out too.
     """
-    coding = CODINGS[code]
     times: list[float] = []
     total = 0.0
-    while total < BENCH_MIN_SECONDS:
-        u = sd_ops.divide(sd_ops.encode(BENCH_NUMERATOR), sd_ops.encode(BENCH_DENOMINATOR))
-        result = coding.lift(u)
+    while total < _BENCH_MIN_SECONDS:
+        u = sd_ops.divide(sd_ops.encode(_BENCH_NUMERATOR), sd_ops.encode(_BENCH_DENOMINATOR))
         start = time.perf_counter()
-        coding.take(result, n)
+        _prefix(u, n, code)
         elapsed = time.perf_counter() - start
         times.append(elapsed)
         total += elapsed
@@ -297,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as failure:
+    except _CliFailure as failure:
         print(failure, file=sys.stderr)
         return failure.exit_code
 

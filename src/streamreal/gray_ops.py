@@ -15,13 +15,15 @@ Berger, Miyamoto, Schwichtenberg and Tsuiki 2016) do.  :func:`negate`
 works in either mode and keeps it.  :func:`to_sd` of a code that an
 operation built and nobody has forced yet is the signed-digit stream the
 code was built from, so a chain of Gray operations runs as the chain of
-signed-digit ones with one conversion at each end.  Only the conversions,
-:func:`decode` and the :func:`to_h`/:func:`to_g` rewrite read Gray nodes.
+signed-digit ones with one conversion at each end.  Only the conversions
+and the :func:`to_h`/:func:`to_g` rewrite read Gray nodes; :func:`decode`
+reads the digits of the inverse conversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
 from . import sd_ops
@@ -41,29 +43,16 @@ def encode(a: Fraction) -> GrayG:
 
 
 def decode(node: GrayNode, n: int) -> Fraction:
-    """Midpoint after n constructors; within 2**-n of the denoted value.
-
-    Walking n constructors composes n affine maps of slope +-1/2, confining
-    the value to an interval of width 2**(1-n); the midpoint is returned
-    exactly.
+    """Partial sum of the first ``n`` digits of :func:`to_sd`; within 2**-n of
+    the denoted value.  It equals the midpoint of the interval that the first
+    ``n`` constructors confine the value to, and forces exactly ``n`` nodes.
     """
     if n < 0:
         raise ValueError("prefix length must be >= 0")
-    a, b = 1, 0
-    cur = node
-    for _ in range(n):
-        cur = cur.force()
-        s = cur.head
-        if s is None:
-            b = 2 * b
-        elif cur.is_g:
-            b = a * s + 2 * b
-            a = -a * s
-        else:
-            b = a * s + 2 * b
-            a = a * s
-        cur = cur.tail
-    return Fraction(b, 1 << n)
+    acc = 0
+    for d in islice(_to_sd(node), n):
+        acc = 2 * acc + d
+    return Fraction(acc, 1 << n)
 
 
 def negate(node: GrayNode) -> GrayNode:

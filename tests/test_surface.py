@@ -22,8 +22,7 @@ SURFACE = {
     "__init__": set(),
     "__main__": set(),
     "cauchy": {"CReal", "absolute", "add", "from_rational", "from_stream", "leq_up_to", "mul", "neg", "sub"},
-    "cli": {"BENCH_DENOMINATOR", "BENCH_MIN_SECONDS", "BENCH_NUMERATOR", "CODINGS", "CliFailure", "Coding",
-            "build_parser", "gray_to_text", "main", "report_line", "sd_to_text"},
+    "cli": {"build_parser", "gray_to_text", "main", "report_line", "sd_to_text"},
     "digits": {"format_rational", "parse_rational"},
     "gray_ops": {"add_one", "average", "decode", "divide", "double", "encode", "from_sd", "half", "negate",
                  "one", "sub_one", "to_g", "to_h", "to_sd", "twice_minus", "twice_plus"},
