@@ -9,6 +9,23 @@ from streamreal import cauchy, sd_ops
 from tests.support import unit_fraction, within
 
 
+def test_creal_is_an_immutable_pair_of_its_two_functions():
+    def f(n):
+        return Fraction(n, n + 1)
+
+    def g(p):
+        return p + 1
+
+    real = cauchy.CReal(approx=f, modulus=g)
+    assert real == cauchy.CReal(f, g)
+    assert hash(real) == hash(cauchy.CReal(f, g))
+    assert real.approx is f and real.modulus is g
+    for field in ("approx", "modulus"):
+        with pytest.raises(AttributeError):
+            setattr(real, field, g if field == "approx" else f)
+    assert real.approx is f and real.modulus is g
+
+
 def test_from_rational_constant():
     x = cauchy.from_rational(Fraction(1, 2))
     assert all(x.approx(n) == Fraction(1, 2) for n in (0, 3, 17))
