@@ -1,26 +1,24 @@
 """Concrete reals as Cauchy sequences of rationals with explicit moduli.
 
-A real is a pair of pure functions: ``approx(n)`` giving the n-th rational
-approximant and ``modulus(p)`` giving an index M(p) with
-``|a_n - a_m| <= 2**-p`` for all ``n, m >= M(p)``.  This layer is the
-ground-truth oracle for the stream codings; the inverse is deliberately
-absent (it would need a positivity witness, and exact rational division
-covers every oracle use).
+A real is an immutable named pair ``CReal(approx, modulus)`` of pure
+functions: ``approx(n)`` giving the n-th rational approximant and
+``modulus(p)`` giving an index M(p) with ``|a_n - a_m| <= 2**-p`` for all
+``n, m >= M(p)``.  This layer is the ground-truth oracle for the stream
+codings; the inverse is deliberately absent (it would need a positivity
+witness, and exact rational division covers every oracle use).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import sd_ops
 from .kernel import SdStream
 
 
-@dataclass(frozen=True)
-class CReal:
+class CReal(NamedTuple):
     approx: Callable[[int], Fraction]
     modulus: Callable[[int], int]
 
@@ -48,10 +46,7 @@ def add(x: CReal, y: CReal) -> CReal:
 
 
 def sub(x: CReal, y: CReal) -> CReal:
-    return CReal(
-        approx=lambda n: x.approx(n) - y.approx(n),
-        modulus=lambda p: max(x.modulus(p + 1), y.modulus(p + 1)),
-    )
+    return add(x, neg(y))
 
 
 def neg(x: CReal) -> CReal:

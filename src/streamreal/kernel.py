@@ -214,7 +214,7 @@ def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
     return out
 
 
-class ForceCount:
+class _ForceCount:
     """Shared monotone tally of cells forced through a counting wrapper."""
 
     __slots__ = ("count",)
@@ -223,7 +223,7 @@ class ForceCount:
         self.count = 0
 
 
-def _counted(counter: ForceCount, cell: Cell) -> Iterator[Any]:
+def _counted(counter: _ForceCount, cell: Cell) -> Iterator[Any]:
     while True:
         cell = cell.force()
         counter.count += 1
@@ -231,14 +231,14 @@ def _counted(counter: ForceCount, cell: Cell) -> Iterator[Any]:
         cell = cell.tail
 
 
-def with_force_count(u: Cell) -> tuple[Cell, ForceCount]:
+def with_force_count(u: Cell) -> tuple[Cell, _ForceCount]:
     """Wrap ``u`` so the returned counter tracks constructors forced on it.
 
     Works on both codings.  The wrapper behaves identically to ``u``; its
     own cells are memoized, so re-reading a forced prefix does not inflate
     the tally.
     """
-    counter = ForceCount()
+    counter = _ForceCount()
     return stream_from_digits(_counted(counter, u), type(u)), counter
 
 

@@ -280,16 +280,20 @@ def test_run_report_omits_missing_counts():
 def test_package_import_leaves_cli_out_and_module_run_is_quiet():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     # the division tower's tables load with the first division, not with
-    # the package or the 2x -+ y layer that shares its automaton
+    # the package or the 2x -+ y layer that shares its automaton; neither
+    # the package nor the CLI loads dataclasses and the inspect stack
     probe = ("import sys, streamreal; from fractions import Fraction; "
              "print('argparse' in sys.modules, 'streamreal.cli' in sys.modules, "
-             "'streamreal.sd_tower' in sys.modules); "
+             "'streamreal.sd_tower' in sys.modules, "
+             "'dataclasses' in sys.modules, 'inspect' in sys.modules); "
              "x = streamreal.sd_ops.encode(Fraction(1, 2)); "
              "streamreal.kernel.take_prefix(streamreal.sd_ops.twice_minus(x, x), 8); "
-             "print('streamreal.sd_tower' in sys.modules)")
+             "print('streamreal.sd_tower' in sys.modules); "
+             "import streamreal.cli; "
+             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
     imported = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-    assert imported.stdout == "False False False\nFalse\n"
+    assert imported.stdout == "False False False False False\nFalse\nFalse False\n"
     for module in ("streamreal.cli", "streamreal"):
         run = subprocess.run([sys.executable, "-m", module, "encode", "1/2"], env=env,
                              capture_output=True, text=True)

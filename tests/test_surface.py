@@ -26,7 +26,7 @@ SURFACE = {
     "digits": {"format_rational", "parse_rational"},
     "gray_ops": {"add_one", "average", "decode", "divide", "double", "encode", "from_sd", "half", "negate",
                  "one", "sub_one", "to_g", "to_h", "to_sd", "twice_minus", "twice_plus"},
-    "kernel": {"Cell", "ForceCount", "GrayG", "GrayH", "GrayNode", "SdStream", "stream_from_digits",
+    "kernel": {"Cell", "GrayG", "GrayH", "GrayNode", "SdStream", "stream_from_digits",
                "take_gray_prefix", "take_prefix", "unfold_sd", "with_force_count", "with_force_count_gray"},
     "sd_ops": {"add_one", "average", "decode", "divide", "double", "encode", "half", "negate", "one",
                "sub_one", "twice_minus", "twice_plus"},
