@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Iterator
 
 from . import sd_ops
-from .kernel import GrayG, GrayH, GrayNode, SdStream, stream_from_digits
+from .kernel import _FORCE_LOCK, GrayG, GrayH, GrayNode, SdStream, stream_from_digits
 
 _ONE = GrayG.cons(1, GrayG.constant(-1))
 
@@ -50,8 +50,9 @@ def decode(node: GrayNode, n: int) -> Fraction:
     if n < 0:
         raise ValueError("prefix length must be >= 0")
     acc = 0
-    for d in islice(_to_sd(node), n):
-        acc = 2 * acc + d
+    with _FORCE_LOCK:
+        for d in islice(_to_sd(node), n):
+            acc = 2 * acc + d
     return Fraction(acc, 1 << n)
 
 
@@ -64,7 +65,7 @@ def negate(node: GrayNode) -> GrayNode:
 
 def _switch_mode(node: GrayNode, cls: type) -> GrayNode:
     def pull():
-        c = node.force()
+        c = node._force()
         raise StopIteration(cls.cons(c.head, c.tail if c.head is None else negate(c.tail)))
 
     return cls(pull)
@@ -166,7 +167,7 @@ def _from_sd_in(cls: type, u: SdStream) -> GrayNode:
 def _from_sd(u: SdStream, in_g: bool) -> Iterator:
     flag = 1
     while True:
-        u = u.force()
+        u = u._force()
         d = u.head
         if d == 0:
             yield None
@@ -195,7 +196,7 @@ def to_sd(node: GrayNode) -> SdStream:
 def _to_sd(node: GrayNode) -> Iterator[int]:
     flag = 1
     while True:
-        node = node.force()
+        node = node._force()
         s = node.head
         if s is None:
             yield 0

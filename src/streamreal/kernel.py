@@ -4,7 +4,11 @@ Streams are chains of cells with lazy tails, not index functions: every
 algorithm in this library is a head/tail pattern matcher, and caching each
 cell is what keeps the instrumented look-ahead linear instead of recomputing
 prefixes.  A cell is forced at most once; forcing is serialized by a global
-re-entrant lock so concurrent readers can share any forced prefix.
+re-entrant lock so concurrent readers can share any forced prefix.  The
+lock is taken once per read, not once per cell: :meth:`Cell.force`,
+:func:`take_prefix`, :func:`take_gray_prefix` and the ``decode`` functions
+hold it for their whole walk, and every generator of this package runs
+inside such a read and forces its inputs without taking it again.
 
 Both codings are chains of one cell class, :class:`Cell`, a pair
 ``(head, tail)`` once forced:
@@ -20,11 +24,12 @@ Both codings are chains of one cell class, :class:`Cell`, a pair
 
 Every automaton over these cells is a Python generator that takes its input
 cells as arguments and yields one output symbol per step.  One driver,
-:meth:`Cell.force`, runs them all: an unforced cell holds the generator's
-``__next__`` as its *pull* (:func:`stream_from_digits`), and forcing the
-cell resumes it once, sets ``head`` to the symbol and makes ``tail`` a new
-cell with the same pull, of the class the mode asks for: ``SdStream`` for
-a digit, ``GrayG`` after a sign and ``GrayH`` after a delay.  A generator
+:meth:`Cell.force` with its unlocked body :meth:`Cell._force`, runs them
+all: an unforced cell holds the generator's ``__next__`` as its *pull*
+(:func:`stream_from_digits`), and forcing the cell resumes it once, sets
+``head`` to the symbol and makes ``tail`` a new cell with the same pull,
+of the class the mode asks for: ``SdStream`` for a digit, ``GrayG`` after
+a sign and ``GrayH`` after a delay.  A generator
 ends its stream in one way only, by returning a cell, which its
 ``StopIteration`` carries: the cell being forced forces that cell and takes
 its head and tail, and the stream goes on as the returned one, which may be
@@ -84,32 +89,47 @@ class Cell:
         return cell
 
     def force(self) -> "Cell":
-        """Evaluate the cell once: the only code that resumes a pull.
+        """Evaluate the cell once, under the force lock: the public entry.
 
-        A symbol becomes ``head``, and ``tail`` a new cell of the class its
-        mode asks for, pulling from the same source.  A carried cell is
-        forced here and lends its ``head`` and ``tail``; a pull that has
-        already raised carries none, and its stream cannot go on.
+        A forced cell is returned at once.  An unforced one is forced by
+        :meth:`_force` while this thread holds the lock, which is
+        re-entrant, so a pull written outside this package may call
+        ``force`` on its inputs.
         """
         if self._pull is not None:
             with _FORCE_LOCK:
-                pull = self._pull
-                if pull is not None:
-                    try:
-                        head = pull()
-                    except StopIteration as stop:
-                        cell = stop.value
-                        if cell is None:
-                            raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
-                    else:
-                        self.head = head
-                        self.tail = self._tail_classes[head is None](pull)
-                        self._pull = None
-                        return self
-                    cell = cell.force()
-                    self.head = cell.head
-                    self.tail = cell.tail
-                    self._pull = None
+                self._force()
+        return self
+
+    def _force(self) -> "Cell":
+        """The body of :meth:`force`, without the lock: call it only while
+        holding ``_FORCE_LOCK``.  Every pull runs inside a force, so the
+        generators of this package read their inputs through it, and each
+        read entry point takes the lock once for its whole walk.
+
+        It is the only code that resumes a pull.  A symbol becomes
+        ``head``, and ``tail`` a new cell of the class its mode asks for,
+        pulling from the same source.  A carried cell is forced here and
+        lends its ``head`` and ``tail``; a pull that has already raised
+        carries none, and its stream cannot go on.
+        """
+        pull = self._pull
+        if pull is not None:
+            try:
+                head = pull()
+            except StopIteration as stop:
+                cell = stop.value
+                if cell is None:
+                    raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
+            else:
+                self.head = head
+                self.tail = self._tail_classes[head is None](pull)
+                self._pull = None
+                return self
+            cell = cell._force()
+            self.head = cell.head
+            self.tail = cell.tail
+            self._pull = None
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug display only
@@ -190,10 +210,11 @@ def take_prefix(u: SdStream, n: int) -> list[int]:
         raise ValueError("prefix length must be >= 0")
     out = []
     cell = u
-    for _ in range(n):
-        cell = cell.force()
-        out.append(cell.head)
-        cell = cell.tail
+    with _FORCE_LOCK:
+        for _ in range(n):
+            cell = cell._force()
+            out.append(cell.head)
+            cell = cell.tail
     return out
 
 
@@ -207,10 +228,11 @@ def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
         raise ValueError("prefix length must be >= 0")
     out = []
     cur = node
-    for _ in range(n):
-        cur = cur.force()
-        out.append(("g" if cur.is_g else "h", cur.head))
-        cur = cur.tail
+    with _FORCE_LOCK:
+        for _ in range(n):
+            cur = cur._force()
+            out.append(("g" if cur.is_g else "h", cur.head))
+            cur = cur.tail
     return out
 
 
@@ -225,7 +247,7 @@ class _ForceCount:
 
 def _counted(counter: _ForceCount, cell: Cell) -> Iterator[Any]:
     while True:
-        cell = cell.force()
+        cell = cell._force()
         counter.count += 1
         yield cell.head
         cell = cell.tail

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .kernel import SdStream, stream_from_digits
+from .kernel import SdStream, stream_from_digits, take_prefix
 
 
 def encode(a: Fraction) -> SdStream:
@@ -43,14 +43,9 @@ def _encode(num: int, den: int) -> Iterator[int]:
 
 def decode(u: SdStream, n: int) -> Fraction:
     """Partial sum ``sum(d_k * 2**-k, k=1..n)``; within 2**-n of the value."""
-    if n < 0:
-        raise ValueError("prefix length must be >= 0")
     acc = 0
-    cell = u
-    for _ in range(n):
-        cell = cell.force()
-        acc = 2 * acc + cell.head
-        cell = cell.tail
+    for d in take_prefix(u, n):
+        acc = 2 * acc + d
     return Fraction(acc, 1 << n)
 
 
@@ -66,7 +61,7 @@ def negate(u: SdStream) -> SdStream:
 
 def _negate(u: SdStream) -> Iterator[int]:
     while True:
-        u = u.force()
+        u = u._force()
         yield -u.head
         u = u.tail
 
@@ -106,7 +101,7 @@ def _double(u: SdStream, state: Any) -> Iterator[int]:
     ``("add", e)``) by :func:`_double_step`, splicing onto the input or the
     constant when the automaton does."""
     while True:
-        u = u.force()
+        u = u._force()
         state, d = _double_step(state, u.head)
         u = u.tail
         if type(state) is not tuple:  # "copy": the rest is the input
@@ -134,8 +129,8 @@ def _average(u: SdStream, v: SdStream) -> Iterator[int]:
     """Digits of the average by :func:`_average_step`."""
     carry: int | None = None
     while True:
-        u = u.force()
-        v = v.force()
+        u = u._force()
+        v = v._force()
         carry, d = _average_step(carry, u.head, v.head)
         u = u.tail
         v = v.tail
@@ -168,9 +163,9 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
     turns constant."""
     w = half(v)
     state = (kind, None, "dispatch", "dispatch")
-    while True:
-        u = u.force()
-        w = w.force()
+    while not state[2] == state[3] == "copy":
+        u = u._force()
+        w = w._force()
         state, x = _layer_step(state, u.head, w.head)
         u = u.tail
         w = w.tail
@@ -183,6 +178,15 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
             state, x = _layer_step(state, 0, 0)
         if _is_const(state[3]):
             return SdStream.constant(x)
+        yield x
+    # Both doubles copy: the layer is its average, and only the carry changes.
+    carry = state[1]
+    while True:
+        u = u._force()
+        w = w._force()
+        carry, x = _average_step(carry, u.head, -kind * w.head)
+        u = u.tail
+        w = w.tail
         yield x
 
 

@@ -112,7 +112,8 @@ _LAYERS = _Layers()
 
 
 class _HalfY:
-    """Digits of ``y/2 = 0 :: y``, each forced from ``v`` when first read.
+    """Digits of ``y/2 = 0 :: y``, each forced from ``v`` when first read,
+    by :func:`quotient_digits` inside a force, so under the force lock.
 
     ``codes[c]`` packs digits ``3c .. 3c + 2`` once all three are known.
     """
@@ -129,7 +130,7 @@ class _HalfY:
         one past the last digit read."""
         digits = self.digits
         if p == len(digits):
-            cell = self.cell.force()
+            cell = self.cell._force()
             digits.append(cell.head)
             self.cell = cell.tail
             if p % 3 == 2:
@@ -155,11 +156,11 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     states = [0]
     below_top = kind = k = 0
     while True:
-        u = u.force()
+        u = u._force()
         d0 = u.head
-        u = u.tail.force()
+        u = u.tail._force()
         d1 = u.head
-        u = u.tail.force()
+        u = u.tail._force()
         code = 9 * d0 + 3 * d1 + u.head + 13
         u = u.tail
         if k:

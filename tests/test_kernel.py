@@ -118,6 +118,74 @@ def test_concurrent_forcing_evaluates_each_cell_once():
     assert take_prefix(u, 300) == [0] * 300
 
 
+def _seeded_symbols(i: int, symbols: tuple, resumes: list):
+    """Random symbols of seed ``i``; ``resumes[i]`` counts the generator's
+    resumptions."""
+    rng = random.Random(i)
+    while True:
+        resumes[i] += 1
+        yield rng.choice(symbols)
+
+
+CHAIN_READERS = {
+    "sd": (SdStream, (1, 0, -1), sd_ops, take_prefix),
+    "gray": (GrayG, (1, -1, None), gray_ops, take_gray_prefix),
+}
+
+
+@pytest.mark.parametrize("code", sorted(CHAIN_READERS))
+def test_threads_reading_a_shared_average_chain_agree_and_resume_each_input_once_per_cell(code):
+    import sys
+    import threading
+
+    cls, symbols, ops, take = CHAIN_READERS[code]
+    depth, n = 8, 300
+
+    def chain(resumes):
+        inputs = [stream_from_digits(_seeded_symbols(i, symbols, resumes), cls) for i in range(depth + 1)]
+        x = inputs[0]
+        for y in inputs[1:]:
+            x = ops.average(x, y)
+        return inputs, x
+
+    ref_resumes = [0] * (depth + 1)
+    _, ref = chain(ref_resumes)
+    expected = take(ref, n)
+    expected_value = ops.decode(ref, n)
+
+    resumes = [0] * (depth + 1)
+    inputs, x = chain(resumes)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def read(i):
+        start.wait(timeout=60)
+        results[i] = take(x, n) if i % 2 == 0 else ops.decode(x, n)
+
+    workers = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(w.is_alive() for w in workers)
+    assert results == [expected, expected_value] * 2
+    assert resumes == ref_resumes
+    # each resumption made one cell, in order: the memoized prefix of every
+    # input is its generator's sequence with no symbol skipped or repeated,
+    # and reading it back resumes nothing
+    for i, (u, r) in enumerate(zip(inputs, resumes)):
+        replay = random.Random(i)
+        read_back = [sign for _, sign in take(u, r)] if code == "gray" else take(u, r)
+        assert read_back == [replay.choice(symbols) for _ in range(r)]
+    assert resumes == ref_resumes
+
+
 def test_counter_is_zero_before_forcing_and_monotone():
     wrapped, counter = with_force_count(sd_ops.encode(Fraction(1, 3)))
     assert counter.count == 0
@@ -177,7 +245,7 @@ def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
 
 @pytest.mark.parametrize("code", ["sd", "gray"])
 def test_deep_double_half_chain_yields(code):
-    # double hands its input back to splice, which force forces in its own
+    # double hands its input back to splice, which _force forces in its own
     # frame, so a level costs a third of a generator layer
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
     x = ops.encode(Fraction(1, 3))
@@ -201,7 +269,7 @@ def test_deep_twice_minus_chain_yields(code):
 @pytest.mark.parametrize("code", ["sd", "gray"])
 @pytest.mark.parametrize("op", ["average", "negate"])
 def test_deep_generator_chain_yields(code, op):
-    # force resumes each generator itself: a level costs force's frame and
+    # _force resumes each generator itself: a level costs _force's frame and
     # the generator's
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
     x = ops.encode(Fraction(1, 3))

@@ -5,6 +5,10 @@ helpers that only tests call live in ``tests/support.py``.  A public name
 enters or leaves a module only together with an edit to ``SURFACE``, and a
 private name that one package module imports from another only together
 with an edit to ``PRIVATE_IMPORTS``.
+
+The same reading pins the force lock's discipline: no package code calls
+the locking ``Cell.force``, and the unlocked ``Cell._force`` runs only
+where the lock is held.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ SURFACE = {
 # (importing module, source module, private name), at any depth of the body
 PRIVATE_IMPORTS = {
     ("cli", "digits", "_is_decimal"),
+    ("gray_ops", "kernel", "_FORCE_LOCK"),
     ("sd_tower", "sd_ops", "_is_const"),
     ("sd_tower", "sd_ops", "_layer_step"),
 }
@@ -82,3 +87,86 @@ def private_imports(module: str) -> set[tuple[str, str, str]]:
 
 def test_private_imports_between_modules_are_the_committed_set():
     assert set().union(*(private_imports(module) for module in SURFACE)) == PRIVATE_IMPORTS
+
+
+# Functions that call ``._force()`` outside ``with _FORCE_LOCK`` and are not
+# generators: the driver, which forces a carried cell under its caller's
+# lock, and code that only a pull runs.  (module, qualified name)
+UNLOCKED_FORCERS = {
+    ("kernel", "Cell._force"),
+    ("gray_ops", "_switch_mode.pull"),  # the pull of to_h/to_g
+    ("sd_tower", "_HalfY.__getitem__"),  # reads v for quotient_digits
+}
+
+
+def is_generator(func: ast.FunctionDef) -> bool:
+    """The function's own body yields; nested functions do not count."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def calls(module: str) -> list[tuple[ast.Call, str, bool, bool]]:
+    """``(call, qualified name of the enclosing function, it is a generator,
+    the call sits inside with _FORCE_LOCK)`` for every call in ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node: ast.AST, qualname: str, generator: bool, locked: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{qualname}.{child.name}" if qualname else child.name
+                visit(child, name, isinstance(child, ast.FunctionDef) and is_generator(child), False)
+                continue
+            if isinstance(child, ast.With) and any(
+                    isinstance(item.context_expr, ast.Name) and item.context_expr.id == "_FORCE_LOCK"
+                    for item in child.items):
+                visit(child, qualname, generator, True)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((child, qualname, generator, locked))
+            visit(child, qualname, generator, locked)
+
+    visit(tree, "", False, False)
+    return found
+
+
+def force_calls(module: str) -> list[tuple[str, str, bool, bool]]:
+    """``(method, function, generator, locked)`` of :func:`calls` for every
+    call of ``.force()`` or ``._force()`` in ``module``."""
+    return [(call.func.attr, name, generator, locked) for call, name, generator, locked in calls(module)
+            if isinstance(call.func, ast.Attribute) and call.func.attr in ("force", "_force")]
+
+
+def test_no_module_calls_the_locking_force():
+    assert [(module, name) for module in SURFACE
+            for method, name, _, _ in force_calls(module) if method == "force"] == []
+
+
+def test_unlocked_force_runs_only_under_the_lock():
+    unlocked = {(module, name) for module in SURFACE
+                for method, name, generator, locked in force_calls(module)
+                if method == "_force" and not (generator or locked)}
+    assert unlocked == UNLOCKED_FORCERS
+
+
+def test_package_generators_run_only_in_a_cell_or_under_the_lock():
+    # a generator reads through _force, so whatever drives it other than a
+    # cell's pull must hold the lock
+    generators = {node.name for module in SURFACE
+                  for node in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and is_generator(node)}
+    loose = []
+    for module in SURFACE:
+        found = calls(module)
+        pulled = {id(call.args[0]) for call, _, _, _ in found
+                  if isinstance(call.func, ast.Name) and call.func.id == "stream_from_digits"}
+        loose += [(module, name, call.func.id) for call, name, _, locked in found
+                  if isinstance(call.func, ast.Name) and call.func.id in generators
+                  and id(call) not in pulled and not locked]
+    assert generators and loose == []
