@@ -100,22 +100,42 @@ def test_memoization_single_evaluation():
 
 
 def test_concurrent_forcing_evaluates_each_cell_once():
+    import sys
     import threading
 
-    evaluations = []
+    n = 2000
+    expected = [1 - i % 3 for i in range(n)]
 
     def step(state):
         evaluations.append(state)
-        return 0, state + 1
+        return state % 3 - 1, state + 1
 
-    u = unfold_sd(0, step)
-    workers = [threading.Thread(target=take_prefix, args=(u, 300)) for _ in range(4)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    assert len(evaluations) == 300
-    assert take_prefix(u, 300) == [0] * 300
+    def read(i):
+        start.wait(timeout=60)
+        results[i] = take_prefix(u, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # a few rounds, since an unlocked kernel can pass one by luck
+        for _ in range(5):
+            evaluations = []
+            # read through generator layers, which two unlocked threads
+            # would resume at once
+            u = sd_ops.negate(sd_ops.negate(sd_ops.negate(unfold_sd(0, step))))
+            start = threading.Barrier(4)
+            results = [None] * 4
+            workers = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert results == [expected] * 4
+            assert evaluations == list(range(n))
+            assert take_prefix(u, n) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _seeded_symbols(i: int, symbols: tuple, resumes: list):
