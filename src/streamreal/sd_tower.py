@@ -7,6 +7,14 @@ each layer is one interned small-int state of the layer automaton
 :func:`streamreal.sd_ops._layer_step`, the one that runs
 ``sd_ops.twice_minus`` and ``twice_plus``, whose transitions are memoized
 in tables that fill on first use.
+
+The layer loop keeps its values pre-scaled, so that one layer step is one
+addition and one lookup: a layer is held as its row key ``729 * state``,
+the code it passes up as ``27 * code``, and ``step3[row + 27 * code + h]``
+holds the next row key and the scaled code the layer emits over the code
+``h`` of y/2.  A first layer whose two doubles both copy reads every digit
+of y/2, so it reads its chunk whole; one that can still splice onto a
+constant reads y/2 digit by digit and forces v only as far as it reads.
 """
 
 from __future__ import annotations
@@ -36,6 +44,14 @@ class _Layers:
     by whole 3-digit codes.  Only such primed states are interned.  A state
     whose automata have spliced onto a constant reads nothing more and
     forgets the stages below the constant.  The tables fill on first use.
+
+    The three-digit table ``step3`` is indexed and filled pre-scaled: state
+    ``sid`` owns the row of 729 entries from its row key ``729 * sid``, one
+    for each code below and code of y/2, and each entry holds the next row
+    key and 27 times the code emitted.  ``reads_y`` says how a state reads
+    y/2: 0 not at all (kind 0, or spliced onto a constant), 1 digit by digit
+    while an ``("add", e)`` double may still splice, 2 every digit (both
+    doubles copy, so the layer is a plain average from then on).
     Divisions step only while a cell is being forced, under the kernel's
     force lock, so the tables need no lock of their own.
     """
@@ -43,10 +59,10 @@ class _Layers:
     def __init__(self) -> None:
         self.states: list[tuple] = []
         self.ids: dict[tuple, int] = {}
-        self.reads_y: list[bool] = []  # per state: its next step reads y/2
+        self.reads_y: list[int] = []  # per state: 0, 1 or 2 as above
         # (state * 9 + 3 * below + half_y + 4) -> (state, emitted digit)
         self.step1: list[tuple[int, int] | None] = []
-        # ((state * 27 + code below) * 27 + code of y/2) -> (state, code emitted)
+        # (729 * state + 27 * code below + code of y/2) -> (729 * state, 27 * code emitted)
         self.step3: list[tuple[int, int] | None] = []
         self.steps: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each entry
         self.primed: dict[tuple[int, int, int], int] = {}
@@ -62,22 +78,23 @@ class _Layers:
             sid = self.ids[state] = len(self.states)
             self.states.append(state)
             kind, _, s1, s2 = state
-            self.reads_y.append(bool(kind) and not (_is_const(s1) or _is_const(s2)))
+            self.reads_y.append(0 if not kind or _is_const(s1) or _is_const(s2)
+                                else 2 if s1 == s2 == "copy" else 1)
             self.step1.extend([None] * 9)
             self.step3.extend([None] * 729)
         return sid
 
     def prime(self, kind: int, below: int, h: int) -> int:
-        """The state of a new layer of ``kind`` after its first three digit
-        pairs: the code ``below`` and, for ``kind != 0``, the code ``h`` of
-        y/2."""
+        """The row key of a new layer of ``kind`` after its first three digit
+        pairs: the scaled code ``below`` and, for ``kind != 0``, the code
+        ``h`` of y/2."""
         key = (kind, below, h)
         primed = self.primed.get(key)
         if primed is None:
             state = (kind, None, "dispatch", "dispatch") if kind else (0, None, None, "dispatch")
-            for a, b in zip(_digits3(below), _digits3(h)):
+            for a, b in zip(_digits3(below // 27), _digits3(h)):
                 state, _ = _layer_step(state, a, b)
-            primed = self.primed[key] = self.intern(state)
+            primed = self.primed[key] = 729 * self.intern(state)
         return primed
 
     def digit(self, sid: int, a: int, h: int) -> tuple[int, int]:
@@ -89,21 +106,23 @@ class _Layers:
             step = self.step1[index] = (self.intern(state), x)
         return step
 
-    def advance(self, sid: int, below: int, half_y: Sequence[int],
+    def advance(self, row: int, below: int, half_y: Sequence[int],
                 start: int) -> tuple[int, int]:
-        """Three digits from state ``sid`` over the code ``below``, reading
-        ``half_y`` from ``start`` only as far as the layer does."""
+        """Three digits from row key ``row`` over the scaled code ``below``,
+        reading ``half_y`` from ``start`` only as far as the layer does; the
+        next row key and the scaled code emitted."""
+        sid = row // 729
         code = 0
-        for i, a in enumerate(_digits3(below)):
+        for i, a in enumerate(_digits3(below // 27)):
             sid, x = self.digit(sid, a, half_y[start + i] if self.reads_y[sid] else 0)
             code = 3 * code + x + 1
-        return sid, code
+        return 729 * sid, 27 * code
 
     def fill(self, key: int) -> tuple[int, int]:
         """The three-digit step ``step3[key]``, composed of one-digit steps."""
         sid, codes = divmod(key, 729)
         below, h = divmod(codes, 27)
-        step = self.advance(sid, below, _digits3(h), 0)
+        step = self.advance(729 * sid, 27 * below, _digits3(h), 0)
         step = self.step3[key] = self.steps.setdefault(step, step)
         return step
 
@@ -152,8 +171,8 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     fill = layers.fill
     half_y = _HalfY(v)
     codes = half_y.codes
-    # states[j] is numerator layer j >= 1; layer 0 is u itself
-    states = [0]
+    # rows[j] is the row key of numerator layer j >= 1; layer 0 is u itself
+    rows = [0]
     below_top = kind = k = 0
     while True:
         u = u._force()
@@ -161,30 +180,31 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
         u = u.tail._force()
         d1 = u.head
         u = u.tail._force()
-        code = 9 * d0 + 3 * d1 + u.head + 13
+        code = 243 * d0 + 81 * d1 + 27 * u.head + 351  # 27 * (9*d0 + 3*d1 + d2 + 13)
         u = u.tail
         if k:
             # layer k, of the kind the last digit chose, first reads the code
             # its layer below had at the last step
-            states.append(layers.prime(kind, below_top, half_y.code(0) if kind else _NO_DIGITS))
+            rows.append(layers.prime(kind, below_top, half_y.code(0) if kind else _NO_DIGITS))
         # At step k layer j reads the code of layer j - 1 and chunk k - j + 1
         # of y/2.  The lowest layers may need a chunk not read yet: a layer
-        # that reads y/2 then steps digit by digit and forces v only as far
-        # as it reads, and one that does not takes its step with any code.
+        # that may splice steps digit by digit and forces v only as far as
+        # it reads, one that reads every digit reads the chunk whole, and
+        # one that reads none takes its step with any code.
         j = 1
         while j <= k and k - j + 1 >= len(codes):
-            sid = states[j]
-            if reads_y[sid]:
-                states[j], code = layers.advance(sid, code, half_y, 3 * (k - j + 1))
+            row = rows[j]
+            reads = reads_y[row // 729]
+            if reads == 1:
+                rows[j], code = layers.advance(row, code, half_y, 3 * (k - j + 1))
             else:
-                key = (sid * 27 + code) * 27 + _NO_DIGITS
-                states[j], code = step3[key] or fill(key)
+                key = row + code + (half_y.code(k - j + 1) if reads else _NO_DIGITS)
+                rows[j], code = step3[key] or fill(key)
             j += 1
         for j, h in enumerate(codes[k - j + 1:0:-1], j):
-            key = (states[j] * 27 + code) * 27 + h
-            states[j], code = step3[key] or fill(key)
+            rows[j], code = step3[key := rows[j] + code + h] or fill(key)
         below_top = code
-        top = _digits3(code)
+        top = _digits3(code // 27)
         kind = top[0] or top[1] or top[2]
         k += 1
         yield kind
