@@ -29,14 +29,18 @@ all: an unforced cell holds the generator's ``__next__`` as its *pull*
 (:func:`stream_from_digits`), and forcing the cell resumes it once, sets
 ``head`` to the symbol and makes ``tail`` a new cell with the same pull,
 of the class the mode asks for: ``SdStream`` for a digit, ``GrayG`` after
-a sign and ``GrayH`` after a delay.  A generator
-ends its stream in one way only, by returning a cell, which its
+a sign and ``GrayH`` after a delay.  That tail is made by
+``object.__new__`` and one store of its pull, without ``__init__``, so a
+subclass of :class:`Cell` must not rely on ``__init__`` for its tail
+cells.  A generator ends its stream in one way only, by returning a cell, which its
 ``StopIteration`` carries: the cell being forced forces that cell and takes
 its head and tail, and the stream goes on as the returned one, which may be
 an input the generator has not read.  A generator drops each input cell
 once it has moved past it, so the forced prefix of an input is garbage as
 soon as every reader has moved on: memory grows with the live frontier, not
-the history.
+the history.  Any other exception that leaves a force, an interrupt
+included, fails the cell for good: forcing it again raises
+``RuntimeError``, so no reader sees a stream that skipped a symbol.
 The only generators over Gray cells are the two conversions and the force
 counter: every Gray operation runs a signed-digit automaton between the
 conversions (:mod:`streamreal.gray_ops`).
@@ -109,29 +113,38 @@ class Cell:
 
         It is the only code that resumes a pull.  A symbol becomes
         ``head``, and ``tail`` a new cell of the class its mode asks for,
-        pulling from the same source.  A carried cell is forced here and
-        lends its ``head`` and ``tail``; a pull that has already raised
-        carries none, and its stream cannot go on.
+        pulling from the same source; the tail is made by
+        ``object.__new__`` and one store, without ``__init__``.  A carried
+        cell is forced here and lends its ``head`` and ``tail``; a pull
+        that has already raised carries none, and its stream cannot go on.
+
+        Any other exception that leaves here, an interrupt included,
+        replaces the pull with one that fails: a symbol that ``pull()``
+        returned but the cell did not keep is lost, so the stream must not
+        go on to the next one.
         """
         pull = self._pull
         if pull is not None:
             try:
-                head = pull()
-            except StopIteration as stop:
-                cell = stop.value
-                if cell is None:
-                    raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
-            else:
+                try:
+                    head = pull()
+                except StopIteration as stop:
+                    cell = stop.value
+                    if cell is None:
+                        raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
+                    cell = cell._force()
+                    head = cell.head
+                    tail = cell.tail
+                else:
+                    tail = _new(self._tail_classes[head is None])
+                    tail._pull = pull
                 self.head = head
-                self.tail = self._tail_classes[head is None](pull)
+                self.tail = tail
                 self._pull = None
-                return self
-            cell = cell._force()
-            self.head = cell.head
-            self.tail = cell.tail
-            self._pull = None
+            except BaseException:
+                self._pull = _FAILED_PULL
+                raise
         return self
-
     def __repr__(self) -> str:  # pragma: no cover - debug display only
         if self._pull is not None:
             return f"{type(self).__name__}(<unforced>)"
@@ -139,6 +152,10 @@ class Cell:
 
 
 _CONSTANTS: dict = {}
+_new = object.__new__
+# The pull of a cell whose stream failed: an exhausted iterator's, which
+# raises StopIteration carrying no cell.
+_FAILED_PULL = iter(()).__next__
 
 
 class SdStream(Cell):

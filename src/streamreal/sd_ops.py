@@ -120,22 +120,29 @@ def average(u: SdStream, v: SdStream) -> SdStream:
     ``k = 2i + a' + b' in [-6, 6]``, emits +1 / -1 / 0 as k >= 2 / k <= -2 /
     else, and keeps carry ``k - 4d``.  The pending value is always
     ``(i + x' + y')/4``, which stays in [-1, 1].  This is
-    :func:`_average_step`, which the numerator layers step too.
+    :func:`_average_step`, which the numerator layers step too; after the
+    first digit pair the generator steps the carry by one lookup in
+    ``_CARRY_STEPS``, the 13-entry table of it indexed by ``k``.
     """
     return stream_from_digits(_average(u, v))
 
 
 def _average(u: SdStream, v: SdStream) -> Iterator[int]:
-    """Digits of the average by :func:`_average_step`."""
-    carry: int | None = None
+    """Digits of the average: the first digit pair sets the carry, and each
+    later pair steps it by one lookup in ``_CARRY_STEPS``."""
+    u = u._force()
+    v = v._force()
+    carry, _ = _average_step(None, u.head, v.head)
+    base = 2 * carry + 6
+    u = u.tail
+    v = v.tail
     while True:
         u = u._force()
         v = v._force()
-        carry, d = _average_step(carry, u.head, v.head)
+        base, d = _CARRY_STEPS[base + u.head + v.head]
         u = u.tail
         v = v.tail
-        if d is not None:
-            yield d
+        yield d
 
 
 def twice_minus(u: SdStream, v: SdStream) -> SdStream:
@@ -180,11 +187,12 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
             return SdStream.constant(x)
         yield x
     # Both doubles copy: the layer is its average, and only the carry changes.
-    carry = state[1]
+    base = 2 * state[1] + 6
+    sign = -kind
     while True:
         u = u._force()
         w = w._force()
-        carry, x = _average_step(carry, u.head, -kind * w.head)
+        base, x = _CARRY_STEPS[base + u.head + sign * w.head]
         u = u.tail
         w = w.tail
         yield x
@@ -201,6 +209,16 @@ def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
     k = 2 * carry + a + b
     d = 1 if k >= 2 else -1 if k <= -2 else 0
     return k - 4 * d, d
+
+
+# The carry automaton of _average_step as a table, built from it on every
+# carry in [-2, 2] and digit pair: entry k + 6, for k = 2*carry + a + b in
+# [-6, 6], holds the next carry as the base 2*carry + 6 of the next index,
+# and the digit emitted.
+_CARRY_STEPS = tuple(
+    (2 * carry + 6, d)
+    for _, (carry, d) in sorted({2 * c + a + b: _average_step(c, a, b)
+                                 for c in range(-2, 3) for a in (-1, 0, 1) for b in (-1, 0, 1)}.items()))
 
 
 def _double_step(state: Any, d: int) -> tuple[Any, int | None]:

@@ -75,13 +75,17 @@ class _Layers:
             state = (kind, None, s1, s2)
         sid = self.ids.get(state)
         if sid is None:
-            sid = self.ids[state] = len(self.states)
-            self.states.append(state)
+            # Each row is written from index sid on, states last and the id
+            # after all of them, so an interrupt in between publishes no id
+            # without its rows and leaves no row misaligned.
+            sid = len(self.states)
             kind, _, s1, s2 = state
-            self.reads_y.append(0 if not kind or _is_const(s1) or _is_const(s2)
-                                else 2 if s1 == s2 == "copy" else 1)
-            self.step1.extend([None] * 9)
-            self.step3.extend([None] * 729)
+            self.reads_y[sid:] = [0 if not kind or _is_const(s1) or _is_const(s2)
+                                  else 2 if s1 == s2 == "copy" else 1]
+            self.step1[9 * sid:] = [None] * 9
+            self.step3[729 * sid:] = [None] * 729
+            self.states.append(state)
+            self.ids[state] = sid
         return sid
 
     def prime(self, kind: int, below: int, h: int) -> int:
