@@ -32,10 +32,10 @@ of the class the mode asks for: ``SdStream`` for a digit, ``GrayG`` after
 a sign and ``GrayH`` after a delay.  That tail is made by
 ``object.__new__`` and one store of its pull, without ``__init__``, so a
 subclass of :class:`Cell` must not rely on ``__init__`` for its tail
-cells.  A generator ends its stream in one way only, by returning a cell, which its
-``StopIteration`` carries: the cell being forced forces that cell and takes
-its head and tail, and the stream goes on as the returned one, which may be
-an input the generator has not read.  A generator drops each input cell
+cells.  A generator ends its stream in one way only, by returning a cell,
+which its ``StopIteration`` carries: the cell being forced forces that
+cell and takes its head and tail, and the stream goes on as the returned
+one, which may be an input the generator has not read.  A generator drops each input cell
 once it has moved past it, so the forced prefix of an input is garbage as
 soon as every reader has moved on: memory grows with the live frontier, not
 the history.  Any other exception that leaves a force, an interrupt
@@ -145,6 +145,7 @@ class Cell:
                 self._pull = _FAILED_PULL
                 raise
         return self
+
     def __repr__(self) -> str:  # pragma: no cover - debug display only
         if self._pull is not None:
             return f"{type(self).__name__}(<unforced>)"
