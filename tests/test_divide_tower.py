@@ -100,7 +100,13 @@ def test_non_canonical_gray_pairs_match_stream_tower():
 
 
 def test_splice_stops_reading_v():
-    # v is read to digit 8 and no further, in both towers
-    walk_out = walk(sd_ops.divide, (sd_ops.encode(F(1)), sd_ops.encode(F(63, 64))), 40)
-    assert [v for _, _, _, v in walk_out][-30:] == [8] * 30
-    assert [u for _, _, u, _ in walk_out] == [3 * n for n in range(1, 41)]
+    # The whole v column, as the stream tower reads it: v is read to digit
+    # 8, 3 or 7 and no further.  The splice of (1, 63/64) falls where a
+    # chunk of y/2 ends; those of (1, 0) and (7/8, 47/64) fall inside one,
+    # so a division that reads the chunk whole before the splice fails them.
+    columns = {(F(1), F(63, 64)): [0, 5] + [8] * 38, (F(1), F(0)): [0] + [3] * 39,
+               (F(7, 8), F(47, 64)): [0, 5] + [7] * 38}
+    for (x, y), column in columns.items():
+        walk_out = walk(sd_ops.divide, (sd_ops.encode(x), sd_ops.encode(y)), 40)
+        assert [v for _, _, _, v in walk_out] == column, (x, y)
+        assert [u for _, _, u, _ in walk_out] == [3 * n for n in range(1, 41)]

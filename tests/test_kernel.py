@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from streamreal import gray_ops, sd_ops
+from streamreal import gray_ops, sd_ops, sd_tower
 from streamreal.kernel import (
+    Cell,
     GrayG,
     SdStream,
     stream_from_digits,
@@ -296,3 +303,193 @@ def test_deep_generator_chain_yields(code, op):
     for _ in range(300):
         x = ops.average(x, ops.encode(Fraction(-1, 5))) if op == "average" else ops.negate(x)
     assert len(take(x, 3)) == 3
+
+
+DEPTH_PROBE = """
+import sys
+from fractions import Fraction
+from streamreal import gray_ops, sd_ops
+from streamreal.kernel import take_gray_prefix, take_prefix
+
+print(sys.getrecursionlimit())
+for ops, take in ((sd_ops, take_prefix), (gray_ops, take_gray_prefix)):
+    for op, depth in (("negate", 320), ("average", 320), ("twice_minus", 320), ("double_half", 980)):
+        x = y = ops.encode(Fraction(3, 4))
+        for _ in range(depth):
+            if op == "negate":
+                x = ops.negate(x)
+            elif op == "average":
+                x = ops.average(x, ops.encode(Fraction(-1, 5)))
+            elif op == "twice_minus":
+                x = ops.twice_minus(x, y)
+            else:
+                x = ops.double(ops.half(x))
+        try:
+            print(len(take(x, 5)))
+        except RecursionError:
+            print(op, "overflowed")
+"""
+
+
+def test_deep_chains_yield_at_the_default_recursion_limit_in_a_fresh_interpreter():
+    # The chains built and read at the top level of a fresh interpreter, as
+    # README's depth table is measured, a little below its limits (331 and
+    # 994 in SD, 330 and 990 in Gray): a forced cell builds its tail without
+    # a frame, so no level costs more than its generator and its force.
+    env = {**os.environ, "PYTHONPATH": str(Path(sd_ops.__file__).resolve().parents[1])}
+    probe = subprocess.run([sys.executable, "-c", DEPTH_PROBE], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    assert probe.stdout.split("\n") == ["1000"] + ["5"] * 8 + [""]
+
+
+def test_a_pull_that_raised_fails_for_good():
+    # a hand-written pull is not called again once it has raised
+    calls = []
+
+    def pull():
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return 1
+
+    u = SdStream(pull)
+    with pytest.raises(ValueError):
+        take_prefix(u, 1)
+    with pytest.raises(RuntimeError, match="stream failed earlier"):
+        take_prefix(u, 1)
+    assert calls == [0]
+
+
+# --- interrupts ---------------------------------------------------------------
+
+class _Interrupt(BaseException):
+    """Stands in for ``KeyboardInterrupt``: raised where no code expects it."""
+
+
+def _interrupted(code, k: int, read) -> bool:
+    """Run ``read()`` with an :class:`_Interrupt` raised at the ``k``-th line
+    event of the frames running ``code``; whether it was raised.  Python
+    turns tracing off when a trace function raises, so it is raised once."""
+    seen = 0
+
+    def line(frame, event, arg):
+        nonlocal seen
+        if event == "line":
+            seen += 1
+            if seen == k:
+                raise _Interrupt
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        read()
+    except _Interrupt:
+        return True
+    finally:
+        sys.settrace(previous)
+    return False
+
+
+def _reread(take, x, n: int, expected: list) -> bool:
+    """Read ``x`` again: the expected symbols, or False if the stream failed
+    for good; never a wrong symbol."""
+    try:
+        again = take(x, n)
+    except RuntimeError as exc:
+        assert "stream failed earlier" in str(exc)
+        return False
+    assert again == expected
+    return True
+
+
+F = Fraction
+INTERRUPTED_READS = {
+    # generator layers, a splice and, in Gray, the view's pull and the
+    # hand-written pull of to_h
+    "sd": (lambda: sd_ops.negate(sd_ops.average(sd_ops.double(sd_ops.half(sd_ops.encode(F(1, 3)))),
+                                                sd_ops.negate(sd_ops.encode(F(-2, 7))))), take_prefix),
+    "gray": (lambda: gray_ops.to_h(gray_ops.average(gray_ops.encode(F(1, 3)), gray_ops.encode(F(-2, 7)))),
+             take_gray_prefix),
+}
+
+
+@pytest.mark.parametrize("code", sorted(INTERRUPTED_READS))
+def test_an_interrupt_at_any_line_of_a_force_never_yields_a_wrong_symbol(code):
+    build, take = INTERRUPTED_READS[code]
+    n = 20
+    expected = take(build(), n)
+    k = right = 0
+    while True:
+        k += 1
+        x = build()
+        if not _interrupted(Cell._force.__code__, k, lambda: take(x, n)):
+            break
+        right += _reread(take, x, n, expected)
+    # every line event of every force of the read was tried
+    assert k > 500 and 0 < right < k
+
+
+DIVISIONS = [(F(1001, 3001), F(10001, 20001)), (F(-1, 3), F(1)), (F(1), F(63, 64))]
+
+
+def _quotient(x: Fraction, y: Fraction) -> SdStream:
+    return sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y))
+
+
+def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkeypatch):
+    # the tables are shared by every later division in the process
+    n = 12
+    expected = [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS]
+    k = 0
+    while True:
+        k += 1
+        monkeypatch.setattr(sd_tower, "_LAYERS", sd_tower._Layers())
+        q = _quotient(*DIVISIONS[0])
+        if not _interrupted(sd_tower._Layers.intern.__code__, k, lambda: take_prefix(q, n)):
+            break
+        _reread(take_prefix, q, n, expected[0])
+        assert [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS] == expected, k
+    assert k > 100
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_timer_interrupts_during_reads_never_yield_a_wrong_symbol(monkeypatch):
+    # Real signals, raised by the handler wherever the interpreter handles
+    # them, in this (the main) thread, for about a second.
+    def fresh_quotient():
+        monkeypatch.setattr(sd_tower, "_LAYERS", sd_tower._Layers())
+        return _quotient(*DIVISIONS[0])
+
+    reads = [
+        (lambda: sd_ops.negate(sd_ops.negate(sd_ops.negate(sd_ops.encode(F(1, 3))))), take_prefix, 400),
+        (INTERRUPTED_READS["gray"][0], take_gray_prefix, 150),
+        (fresh_quotient, take_prefix, 30),
+    ]
+    expected = [take(build(), n) for build, take, n in reads]
+    rng = random.Random(20261022)
+
+    def interrupt(signum, frame):
+        raise _Interrupt
+
+    interrupted = 0
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        deadline = time.perf_counter() + 1.0
+        while time.perf_counter() < deadline:
+            i = rng.randrange(len(reads))
+            build, take, n = reads[i]
+            x = build()
+            try:
+                signal.setitimer(signal.ITIMER_REAL, rng.uniform(1e-5, 2e-3))
+                take(x, n)
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            except _Interrupt:
+                interrupted += 1
+            _reread(take, x, n, expected[i])
+            if i == 2:  # the tables the interrupted division filled
+                assert take_prefix(_quotient(*DIVISIONS[0]), n) == expected[i]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert interrupted >= 10

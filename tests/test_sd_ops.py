@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from streamreal import sd_ops
+from streamreal import gray_ops, sd_ops
 from streamreal.kernel import SdStream, take_prefix, with_force_count
 from tests.support import (
     division_pair,
@@ -238,6 +238,45 @@ def test_automata_match_generator_references_on_division_pairs():
     for _ in range(200):
         x, y = division_pair(rng)
         _match_references(sd_ops.encode(x), sd_ops.encode(y), 120)
+
+
+def test_carry_table_is_the_average_step():
+    # every carry the automaton reaches and every digit pair: the entry at
+    # k + 6 holds the next carry as 2*carry + 6 and the digit
+    triples = [(c, a, b) for c in range(-2, 3) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    assert len(triples) == 45 and len(sd_ops._CARRY_STEPS) == 13
+    for c, a, b in triples:
+        carry, d = sd_ops._average_step(c, a, b)
+        assert sd_ops._CARRY_STEPS[2 * c + a + b + 6] == (2 * carry + 6, d), (c, a, b)
+
+
+def _in_gray(op):
+    """``op`` over signed-digit streams, run on Gray codes between the
+    conversions."""
+    return lambda x, y: gray_ops.from_sd(op(gray_ops.to_sd(x), gray_ops.to_sd(y)))
+
+
+CARRY_LOOPS = {
+    "sd": (sd_ops, [(sd_ops.average, reference_average), (sd_ops.twice_minus, reference_twice_minus),
+                    (sd_ops.twice_plus, reference_twice_plus)]),
+    "gray": (gray_ops, [(gray_ops.average, _in_gray(reference_average)),
+                        (gray_ops.twice_minus, _in_gray(reference_twice_minus)),
+                        (gray_ops.twice_plus, _in_gray(reference_twice_plus))]),
+}
+
+
+@pytest.mark.parametrize("code", sorted(CARRY_LOOPS))
+def test_carry_loops_match_references_on_seeded_pairs(code):
+    # Inside the precondition of each op, so that twice_minus and twice_plus
+    # reach the loop that steps only the carry: symbol, cell class and the
+    # forced count of each input after every output symbol.
+    ops, pairs = CARRY_LOOPS[code]
+    rng = random.Random(20261021)
+    for _ in range(200):
+        x, y = division_pair(rng)
+        for (op, reference), a in zip(pairs, (x, abs(x), -abs(x))):
+            inputs = (ops.encode(a), ops.encode(y))
+            assert walk(op, inputs, 100) == walk(reference, inputs, 100), (op.__name__, a, y)
 
 
 def test_shift_splices_onto_its_input_or_the_constant():
