@@ -45,16 +45,8 @@ def add(x: CReal, y: CReal) -> CReal:
     )
 
 
-def sub(x: CReal, y: CReal) -> CReal:
-    return add(x, neg(y))
-
-
 def neg(x: CReal) -> CReal:
     return CReal(approx=lambda n: -x.approx(n), modulus=x.modulus)
-
-
-def absolute(x: CReal) -> CReal:
-    return CReal(approx=lambda n: abs(x.approx(n)), modulus=x.modulus)
 
 
 def _bound_exponent(x: CReal) -> int:

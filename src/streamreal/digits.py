@@ -24,9 +24,7 @@ def parse_rational(text: str) -> Fraction:
     for sign in _MINUS_SIGNS:
         s = s.replace(sign, "-")
     num_text, slash, den_text = s.partition("/")
-    num_digits = num_text.rstrip()
-    if num_digits[:1] in ("+", "-"):
-        num_digits = num_digits[1:]
+    num_digits = num_text[1:] if num_text[:1] in ("+", "-") else num_text
     try:
         if not _is_decimal(num_digits) or slash and not _is_decimal(den_text):
             raise ValueError

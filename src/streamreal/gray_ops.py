@@ -33,7 +33,11 @@ _ONE = GrayG.cons(1, GrayG.constant(-1))
 
 
 def one() -> GrayG:
-    """The Gray code of the constant 1."""
+    """The Gray code of the constant 1.
+
+    Public though no op calls it: it is the paper's constant stream, and
+    the equations of :func:`add_one` splice onto it.
+    """
     return _ONE
 
 

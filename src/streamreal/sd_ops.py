@@ -50,7 +50,11 @@ def decode(u: SdStream, n: int) -> Fraction:
 
 
 def one() -> SdStream:
-    """The constant stream of +1, denoting 1."""
+    """The constant stream of +1, denoting 1.
+
+    Public though no op calls it: it is the paper's constant stream, and
+    the equations of :func:`add_one` splice onto it.
+    """
     return _ONE
 
 

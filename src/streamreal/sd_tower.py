@@ -6,14 +6,16 @@ this module on its first call.  Numerator layer j + 1 of the division is
 each layer is one interned small-int state of the layer automaton
 :func:`streamreal.sd_ops._layer_step`, the one that runs
 ``sd_ops.twice_minus`` and ``twice_plus``, whose transitions are memoized
-in tables that fill on first use.
+in one table that fills on first use.
 
 The layer loop keeps its values pre-scaled, so that one layer step is one
 addition and one lookup: a layer is held as its row key ``729 * state``,
 the code it passes up as ``27 * code``, and ``step3[row + 27 * code + h]``
 holds the next row key and the scaled code the layer emits over the code
-``h`` of y/2.  A first layer whose two doubles both copy reads every digit
-of y/2, so it reads its chunk whole; one that can still splice onto a
+``h`` of y/2.  A new layer is the same lookup from the start row of its
+kind, the row of its unprimed state.  How a state reads y/2 is
+:func:`_reads_y`: a first layer whose two doubles both copy reads every
+digit of y/2, so it reads its chunk whole; one that can still splice onto a
 constant reads y/2 digit by digit and forces v only as far as it reads.
 """
 
@@ -33,6 +35,15 @@ def _digits3(code: int) -> tuple[int, int, int]:
 _NO_DIGITS = 13  # the code of 0 0 0, passed where a layer reads no y/2
 
 
+def _reads_y(state: tuple) -> int:
+    """How the layer state ``state`` reads y/2: 0 not at all (kind 0, or
+    spliced onto a constant), 1 digit by digit while an ``("add", e)``
+    double may still splice, 2 every digit (both doubles copy, so the layer
+    is a plain average from then on)."""
+    kind, _, s1, s2 = state
+    return 0 if not kind or _is_const(s1) or _is_const(s2) else 2 if s1 == s2 == "copy" else 1
+
+
 class _Layers:
     """Interned numerator layer states and their memoized transitions.
 
@@ -41,31 +52,31 @@ class _Layers:
     digit that made the layer.  A new layer reads three digits before it
     emits one and from then on emits digit i of its own after reading digit
     i + 3 of the layer below, as the stream tower does, so every layer moves
-    by whole 3-digit codes.  Only such primed states are interned.  A state
-    whose automata have spliced onto a constant reads nothing more and
-    forgets the stages below the constant.  The tables fill on first use.
+    by whole 3-digit codes.  A state whose automata have spliced onto a
+    constant reads nothing more and forgets the stages below the constant.
 
-    The three-digit table ``step3`` is indexed and filled pre-scaled: state
-    ``sid`` owns the row of 729 entries from its row key ``729 * sid``, one
-    for each code below and code of y/2, and each entry holds the next row
-    key and 27 times the code emitted.  ``reads_y`` says how a state reads
-    y/2: 0 not at all (kind 0, or spliced onto a constant), 1 digit by digit
-    while an ``("add", e)`` double may still splice, 2 every digit (both
-    doubles copy, so the layer is a plain average from then on).
-    Divisions step only while a cell is being forced, under the kernel's
-    force lock, so the tables need no lock of their own.
+    One table, ``step3``, holds every transition and fills on first use.  It
+    is indexed and filled pre-scaled: state ``sid`` owns the row of 729
+    entries from its row key ``729 * sid``, one for each code below and code
+    of y/2, and each entry holds the next row key and 27 times the code
+    emitted.  ``start[kind]`` is the row key of the unprimed state of each
+    kind, so a new layer is one lookup from its kind's start row; it emits
+    no digit while it primes, and the code in a start row's entries is never
+    read.  Divisions step only while a cell is being forced, under the
+    kernel's force lock, so the table needs no lock of its own.
     """
 
     def __init__(self) -> None:
         self.states: list[tuple] = []
         self.ids: dict[tuple, int] = {}
-        self.reads_y: list[int] = []  # per state: 0, 1 or 2 as above
-        # (state * 9 + 3 * below + half_y + 4) -> (state, emitted digit)
-        self.step1: list[tuple[int, int] | None] = []
+        self.reads_y: list[int] = []  # per state: _reads_y(state)
         # (729 * state + 27 * code below + code of y/2) -> (729 * state, 27 * code emitted)
         self.step3: list[tuple[int, int] | None] = []
         self.steps: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each entry
-        self.primed: dict[tuple[int, int, int], int] = {}
+        # the row keys of the unprimed states, indexed by kind: 0, 1, -1
+        self.start = [729 * self.intern((0, None, None, "dispatch")),
+                      729 * self.intern((1, None, "dispatch", "dispatch")),
+                      729 * self.intern((-1, None, "dispatch", "dispatch"))]
 
     def intern(self, state: tuple) -> int:
         kind, _, s1, s2 = state
@@ -79,51 +90,27 @@ class _Layers:
             # after all of them, so an interrupt in between publishes no id
             # without its rows and leaves no row misaligned.
             sid = len(self.states)
-            kind, _, s1, s2 = state
-            self.reads_y[sid:] = [0 if not kind or _is_const(s1) or _is_const(s2)
-                                  else 2 if s1 == s2 == "copy" else 1]
-            self.step1[9 * sid:] = [None] * 9
+            self.reads_y[sid:] = [_reads_y(state)]
             self.step3[729 * sid:] = [None] * 729
             self.states.append(state)
             self.ids[state] = sid
         return sid
 
-    def prime(self, kind: int, below: int, h: int) -> int:
-        """The row key of a new layer of ``kind`` after its first three digit
-        pairs: the scaled code ``below`` and, for ``kind != 0``, the code
-        ``h`` of y/2."""
-        key = (kind, below, h)
-        primed = self.primed.get(key)
-        if primed is None:
-            state = (kind, None, "dispatch", "dispatch") if kind else (0, None, None, "dispatch")
-            for a, b in zip(_digits3(below // 27), _digits3(h)):
-                state, _ = _layer_step(state, a, b)
-            primed = self.primed[key] = 729 * self.intern(state)
-        return primed
-
-    def digit(self, sid: int, a: int, h: int) -> tuple[int, int]:
-        """One step of the primed state ``sid``, which emits a digit."""
-        index = sid * 9 + 3 * a + h + 4
-        step = self.step1[index]
-        if step is None:
-            state, x = _layer_step(self.states[sid], a, h)
-            step = self.step1[index] = (self.intern(state), x)
-        return step
-
     def advance(self, row: int, below: int, half_y: Sequence[int],
                 start: int) -> tuple[int, int]:
         """Three digits from row key ``row`` over the scaled code ``below``,
         reading ``half_y`` from ``start`` only as far as the layer does; the
-        next row key and the scaled code emitted."""
-        sid = row // 729
+        next row key and the scaled code emitted, with 0 for a digit not
+        emitted while the layer primes."""
+        state = self.states[row // 729]
         code = 0
         for i, a in enumerate(_digits3(below // 27)):
-            sid, x = self.digit(sid, a, half_y[start + i] if self.reads_y[sid] else 0)
-            code = 3 * code + x + 1
-        return 729 * sid, 27 * code
+            state, x = _layer_step(state, a, half_y[start + i] if _reads_y(state) else 0)
+            code = 3 * code + (x or 0) + 1
+        return 729 * self.intern(state), 27 * code
 
     def fill(self, key: int) -> tuple[int, int]:
-        """The three-digit step ``step3[key]``, composed of one-digit steps."""
+        """The three-digit step ``step3[key]``, stepped and stored."""
         sid, codes = divmod(key, 729)
         below, h = divmod(codes, 27)
         step = self.advance(729 * sid, 27 * below, _digits3(h), 0)
@@ -173,6 +160,7 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     reads_y = layers.reads_y
     step3 = layers.step3
     fill = layers.fill
+    start = layers.start
     half_y = _HalfY(v)
     codes = half_y.codes
     # rows[j] is the row key of numerator layer j >= 1; layer 0 is u itself
@@ -187,9 +175,10 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
         code = 243 * d0 + 81 * d1 + 27 * u.head + 351  # 27 * (9*d0 + 3*d1 + d2 + 13)
         u = u.tail
         if k:
-            # layer k, of the kind the last digit chose, first reads the code
+            # layer k, of the kind the last digit chose, primes on the code
             # its layer below had at the last step
-            rows.append(layers.prime(kind, below_top, half_y.code(0) if kind else _NO_DIGITS))
+            key = start[kind] + below_top + (half_y.code(0) if kind else _NO_DIGITS)
+            rows.append((step3[key] or fill(key))[0])
         # At step k layer j reads the code of layer j - 1 and chunk k - j + 1
         # of y/2.  The lowest layers may need a chunk not read yet: a layer
         # that may splice steps digit by digit and forces v only as far as

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
-a per-symbol walk of an operation's output, parsers of the CLI's digit
-output, and the reference implementations that the library is checked against: the signed-digit
+the Cauchy-real difference and absolute value, a per-symbol walk of an
+operation's output, parsers of the CLI's digit output, and the reference
+implementations that the library is checked against: the signed-digit
 generators of the average and the doublings, the stream-tower divisions,
 the direct Gray-code equations and the affine Gray decoder."""
 
@@ -10,7 +11,8 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from streamreal import gray_ops, sd_ops
+from streamreal import cauchy, gray_ops, sd_ops
+from streamreal.cauchy import CReal
 from streamreal.kernel import (
     Cell,
     GrayG,
@@ -55,6 +57,14 @@ def division_pair(rng: random.Random, max_den: int = 1000) -> tuple[Fraction, Fr
     scale = rng.randint(1, max_den)
     x = y * Fraction(rng.randint(-scale, scale), scale)
     return x, y
+
+
+def cauchy_sub(x: CReal, y: CReal) -> CReal:
+    return cauchy.add(x, cauchy.neg(y))
+
+
+def cauchy_absolute(x: CReal) -> CReal:
+    return CReal(approx=lambda n: abs(x.approx(n)), modulus=x.modulus)
 
 
 def walk(op, inputs, n: int) -> list[tuple]:

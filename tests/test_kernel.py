@@ -437,7 +437,8 @@ def _quotient(x: Fraction, y: Fraction) -> SdStream:
     return sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y))
 
 
-def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkeypatch):
+@pytest.mark.parametrize("method", ["intern", "advance", "fill"])
+def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkeypatch, method):
     # the tables are shared by every later division in the process
     n = 12
     expected = [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS]
@@ -446,7 +447,7 @@ def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkey
         k += 1
         monkeypatch.setattr(sd_tower, "_LAYERS", sd_tower._Layers())
         q = _quotient(*DIVISIONS[0])
-        if not _interrupted(sd_tower._Layers.intern.__code__, k, lambda: take_prefix(q, n)):
+        if not _interrupted(getattr(sd_tower._Layers, method).__code__, k, lambda: take_prefix(q, n)):
             break
         _reread(take_prefix, q, n, expected[0])
         assert [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS] == expected, k

@@ -25,7 +25,7 @@ PACKAGE = Path(streamreal.__file__).parent
 SURFACE = {
     "__init__": set(),
     "__main__": set(),
-    "cauchy": {"CReal", "absolute", "add", "from_rational", "from_stream", "leq_up_to", "mul", "neg", "sub"},
+    "cauchy": {"CReal", "add", "from_rational", "from_stream", "leq_up_to", "mul", "neg"},
     "cli": {"build_parser", "gray_to_text", "main", "report_line", "sd_to_text"},
     "digits": {"format_rational", "parse_rational"},
     "gray_ops": {"add_one", "average", "decode", "divide", "double", "encode", "from_sd", "half", "negate",
