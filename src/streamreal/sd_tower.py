@@ -97,15 +97,15 @@ class _Layers:
         return sid
 
     def advance(self, row: int, below: int, half_y: Sequence[int],
-                start: int) -> tuple[int, int]:
+                first: int) -> tuple[int, int]:
         """Three digits from row key ``row`` over the scaled code ``below``,
-        reading ``half_y`` from ``start`` only as far as the layer does; the
+        reading ``half_y`` from ``first`` only as far as the layer does; the
         next row key and the scaled code emitted, with 0 for a digit not
         emitted while the layer primes."""
         state = self.states[row // 729]
         code = 0
         for i, a in enumerate(_digits3(below // 27)):
-            state, x = _layer_step(state, a, half_y[start + i] if _reads_y(state) else 0)
+            state, x = _layer_step(state, a, half_y[first + i] if _reads_y(state) else 0)
             code = 3 * code + (x or 0) + 1
         return 729 * self.intern(state), 27 * code
 
