@@ -3,20 +3,20 @@
 :func:`streamreal.sd_ops.divide` runs :func:`quotient_digits` and imports
 this module on its first call.  Numerator layer j + 1 of the division is
 ``double(double(average(x_j, -+y/2)))`` or ``double(x_j)`` of layer j; here
-each layer is one interned small-int state of the layer automaton
+each layer is one interned state of the layer automaton
 :func:`streamreal.sd_ops._layer_step`, the one that runs
 ``sd_ops.twice_minus`` and ``twice_plus``, whose transitions are memoized
-in one table that fills on first use.
+in nested rows that fill on first use.
 
-The layer loop keeps its values pre-scaled, so that one layer step is one
-addition and one lookup: a layer is held as its row key ``729 * state``,
-the code it passes up as ``27 * code``, and ``step3[row + 27 * code + h]``
-holds the next row key and the scaled code the layer emits over the code
-``h`` of y/2.  A new layer is the same lookup from the start row of its
-kind, the row of its unprimed state.  How a state reads y/2 is
-:func:`_reads_y`: a first layer whose two doubles both copy reads every
-digit of y/2, so it reads its chunk whole; one that can still splice onto a
-constant reads y/2 digit by digit and forces v only as far as it reads.
+The layer loop holds each layer as the row of its state, so that one layer
+step is three subscripts of small ints: ``row[code][h]`` is the next row and
+the code the layer emits, where ``code`` is the 3-digit code the layer below
+passes up and ``h`` the code of the chunk of y/2 that the layer reads.  A
+new layer takes the same step from the start row of its kind, the row of its
+unprimed state.  How a state reads y/2 is :func:`_reads_y`: a first layer
+whose two doubles both copy reads every digit of y/2, so it reads its chunk
+whole; one that can still splice onto a constant reads y/2 digit by digit
+and forces v only as far as it reads.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ def _digits3(code: int) -> tuple[int, int, int]:
 
 
 _NO_DIGITS = 13  # the code of 0 0 0, passed where a layer reads no y/2
+# the quotient digit that a top layer's code chooses: its first nonzero digit
+_KIND = [d0 or d1 or d2 for d0, d1, d2 in map(_digits3, range(27))]
 
 
 def _reads_y(state: tuple) -> int:
@@ -55,66 +57,65 @@ class _Layers:
     by whole 3-digit codes.  A state whose automata have spliced onto a
     constant reads nothing more and forgets the stages below the constant.
 
-    One table, ``step3``, holds every transition and fills on first use.  It
-    is indexed and filled pre-scaled: state ``sid`` owns the row of 729
-    entries from its row key ``729 * sid``, one for each code below and code
-    of y/2, and each entry holds the next row key and 27 times the code
-    emitted.  ``start[kind]`` is the row key of the unprimed state of each
-    kind, so a new layer is one lookup from its kind's start row; it emits
-    no digit while it primes, and the code in a start row's entries is never
-    read.  Divisions step only while a cell is being forced, under the
-    kernel's force lock, so the table needs no lock of its own.
+    Each interned state owns one row, a plain list: entries 0 to 26 are
+    lists of 27 entries, indexed by the code from below and then by the code
+    of y/2, and entry 27 is the state's id, its index in ``states`` and
+    ``reads_y``.  An entry is ``(next row, code emitted)``, or None until
+    its first use fills it.  ``start[kind]`` is the row of the unprimed
+    state of each kind, so a new layer is one step from its kind's start
+    row; it emits no digit while it primes, and the code in a start row's
+    entries is never read.  Divisions step only while a cell is being
+    forced, under the kernel's force lock, so the rows need no lock of
+    their own.
     """
 
     def __init__(self) -> None:
         self.states: list[tuple] = []
-        self.ids: dict[tuple, int] = {}
-        self.reads_y: list[int] = []  # per state: _reads_y(state)
-        # (729 * state + 27 * code below + code of y/2) -> (729 * state, 27 * code emitted)
-        self.step3: list[tuple[int, int] | None] = []
-        self.steps: dict[tuple[int, int], tuple[int, int]] = {}  # one copy of each entry
-        # the row keys of the unprimed states, indexed by kind: 0, 1, -1
-        self.start = [729 * self.intern((0, None, None, "dispatch")),
-                      729 * self.intern((1, None, "dispatch", "dispatch")),
-                      729 * self.intern((-1, None, "dispatch", "dispatch"))]
+        self.ids: dict[tuple, list] = {}  # state -> its row
+        self.reads_y: list[int] = []  # per state id: _reads_y(state)
+        # one copy of each entry (next row, code), keyed by 27 * next id + code
+        self.steps: dict[int, tuple[list, int]] = {}
+        # the rows of the unprimed states, indexed by kind: 0, 1, -1
+        self.start = [self.intern((0, None, None, "dispatch")),
+                      self.intern((1, None, "dispatch", "dispatch")),
+                      self.intern((-1, None, "dispatch", "dispatch"))]
 
-    def intern(self, state: tuple) -> int:
+    def intern(self, state: tuple) -> list:
         kind, _, s1, s2 = state
         if _is_const(s2):
             state = (0, None, None, s2)
         elif kind and _is_const(s1):
             state = (kind, None, s1, s2)
-        sid = self.ids.get(state)
-        if sid is None:
-            # Each row is written from index sid on, states last and the id
-            # after all of them, so an interrupt in between publishes no id
-            # without its rows and leaves no row misaligned.
+        row = self.ids.get(state)
+        if row is None:
+            # reads_y is written from index sid on, the state appended after
+            # it and the row published last, so an interrupt in between
+            # publishes no row without its state and leaves no id misaligned.
             sid = len(self.states)
             self.reads_y[sid:] = [_reads_y(state)]
-            self.step3[729 * sid:] = [None] * 729
+            row = [[None] * 27 for _ in range(27)]
+            row.append(sid)
             self.states.append(state)
-            self.ids[state] = sid
-        return sid
+            self.ids[state] = row
+        return row
 
-    def advance(self, row: int, below: int, half_y: Sequence[int],
-                first: int) -> tuple[int, int]:
-        """Three digits from row key ``row`` over the scaled code ``below``,
-        reading ``half_y`` from ``first`` only as far as the layer does; the
-        next row key and the scaled code emitted, with 0 for a digit not
-        emitted while the layer primes."""
-        state = self.states[row // 729]
+    def advance(self, row: list, below: int, half_y: Sequence[int],
+                first: int) -> tuple[list, int]:
+        """Three digits from ``row`` over the code ``below``, reading
+        ``half_y`` from ``first`` only as far as the layer does; the next
+        row and the code emitted, with 0 for a digit not emitted while the
+        layer primes."""
+        state = self.states[row[27]]
         code = 0
-        for i, a in enumerate(_digits3(below // 27)):
+        for i, a in enumerate(_digits3(below)):
             state, x = _layer_step(state, a, half_y[first + i] if _reads_y(state) else 0)
             code = 3 * code + (x or 0) + 1
-        return 729 * self.intern(state), 27 * code
+        return self.intern(state), code
 
-    def fill(self, key: int) -> tuple[int, int]:
-        """The three-digit step ``step3[key]``, stepped and stored."""
-        sid, codes = divmod(key, 729)
-        below, h = divmod(codes, 27)
-        step = self.advance(729 * sid, 27 * below, _digits3(h), 0)
-        step = self.step3[key] = self.steps.setdefault(step, step)
+    def fill(self, row: list, below: int, h: int) -> tuple[list, int]:
+        """The three-digit step ``row[below][h]``, stepped and stored."""
+        step = self.advance(row, below, _digits3(h), 0)
+        step = row[below][h] = self.steps.setdefault(27 * step[0][27] + step[1], step)
         return step
 
 
@@ -148,23 +149,34 @@ class _HalfY:
         return digits[p]
 
     def code(self, c: int) -> int:
-        """``codes[c]``, reading its digits first if need be."""
-        while len(self.codes) <= c:
-            self[len(self.digits)]
-        return self.codes[c]
+        """``codes[c]``, reading its digits first if need be: the rest of a
+        chunk read in part digit by digit, then each whole chunk at once."""
+        codes = self.codes
+        if len(codes) <= c:
+            digits = self.digits
+            while len(digits) % 3:
+                self[len(digits)]
+            while len(codes) <= c:
+                a = self.cell._force()
+                b = a.tail._force()
+                d = b.tail._force()
+                self.cell = d.tail
+                digits += a.head, b.head, d.head
+                codes.append(9 * a.head + 3 * b.head + d.head + 13)
+        return codes[c]
 
 
 def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     """The digits of ``sd_ops.divide(u, v)``."""
     layers = _LAYERS
     reads_y = layers.reads_y
-    step3 = layers.step3
     fill = layers.fill
     start = layers.start
+    kinds = _KIND
     half_y = _HalfY(v)
     codes = half_y.codes
-    # rows[j] is the row key of numerator layer j >= 1; layer 0 is u itself
-    rows = [0]
+    # rows[j] is the row of numerator layer j >= 1; layer 0 is u itself
+    rows = [None]
     below_top = kind = k = 0
     while True:
         u = u._force()
@@ -172,13 +184,14 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
         u = u.tail._force()
         d1 = u.head
         u = u.tail._force()
-        code = 243 * d0 + 81 * d1 + 27 * u.head + 351  # 27 * (9*d0 + 3*d1 + d2 + 13)
+        code = 9 * d0 + 3 * d1 + u.head + 13
         u = u.tail
         if k:
             # layer k, of the kind the last digit chose, primes on the code
             # its layer below had at the last step
-            key = start[kind] + below_top + (half_y.code(0) if kind else _NO_DIGITS)
-            rows.append((step3[key] or fill(key))[0])
+            row = start[kind]
+            h = half_y.code(0) if kind else _NO_DIGITS
+            rows.append((row[below_top][h] or fill(row, below_top, h))[0])
         # At step k layer j reads the code of layer j - 1 and chunk k - j + 1
         # of y/2.  The lowest layers may need a chunk not read yet: a layer
         # that may splice steps digit by digit and forces v only as far as
@@ -187,17 +200,16 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
         j = 1
         while j <= k and k - j + 1 >= len(codes):
             row = rows[j]
-            reads = reads_y[row // 729]
+            reads = reads_y[row[27]]
             if reads == 1:
                 rows[j], code = layers.advance(row, code, half_y, 3 * (k - j + 1))
             else:
-                key = row + code + (half_y.code(k - j + 1) if reads else _NO_DIGITS)
-                rows[j], code = step3[key] or fill(key)
+                h = half_y.code(k - j + 1) if reads else _NO_DIGITS
+                rows[j], code = row[code][h] or fill(row, code, h)
             j += 1
         for j, h in enumerate(codes[k - j + 1:0:-1], j):
-            rows[j], code = step3[key := rows[j] + code + h] or fill(key)
+            rows[j], code = rows[j][code][h] or fill(rows[j], code, h)
         below_top = code
-        top = _digits3(code // 27)
-        kind = top[0] or top[1] or top[2]
+        kind = kinds[code]
         k += 1
         yield kind

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from streamreal import gray_ops, sd_ops, sd_tower
+from streamreal.kernel import _FORCE_LOCK, take_prefix, with_force_count
 from tests.support import division_pair, random_sd, reference_divide, reference_gray_divide, walk
 
 DIGITS = 150
@@ -110,3 +111,50 @@ def test_splice_stops_reading_v():
         walk_out = walk(sd_ops.divide, (sd_ops.encode(x), sd_ops.encode(y)), 40)
         assert [v for _, _, _, v in walk_out] == column, (x, y)
         assert [u for _, _, u, _ in walk_out] == [3 * n for n in range(1, 41)]
+
+
+def test_every_filled_entry_is_three_layer_steps(monkeypatch):
+    # Fill the rows from empty tables with the seeded pairs, then step every
+    # filled entry again: three digits below and three of y/2 through the
+    # layer automaton, interned.  Equal entries are kept once.
+    layers = sd_tower._Layers()
+    monkeypatch.setattr(sd_tower, "_LAYERS", layers)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        x, y = division_pair(rng)
+        take_prefix(sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y)), DIGITS)
+    entries = {}
+    rows = list(layers.ids.values())
+    for row in rows:
+        assert layers.ids[layers.states[row[27]]] is row
+        for below in range(27):
+            for h, entry in enumerate(row[below]):
+                if entry is None:
+                    continue
+                state, code = layers.states[row[27]], 0
+                for a, b in zip(sd_tower._digits3(below), sd_tower._digits3(h)):
+                    state, d = sd_ops._layer_step(state, a, b)
+                    code = 3 * code + (d or 0) + 1
+                assert len(entry) == 2 and entry[0] is layers.intern(state) and entry[1] == code
+                assert entries.setdefault((id(entry[0]), code), entry) is entry
+    assert len(layers.ids) == len(rows) and len(entries) > 100
+
+
+def test_half_y_reads_v_as_far_as_mixed_reads_need():
+    # Digit reads and whole-chunk reads interleaved, starting inside the
+    # first chunk, whose digit 0 is known: code(c) forces v to exactly
+    # 3c + 2 cells and a digit read p to p cells, never further.
+    v, counter = with_force_count(sd_ops.encode(F(5, 7)))
+    y2 = [0] + take_prefix(sd_ops.encode(F(5, 7)), 20)
+    half_y = sd_tower._HalfY(v)
+    reads = [("code", 0, 2), ("digit", 3, 3), ("digit", 4, 4), ("code", 3, 11), ("digit", 12, 12),
+             ("code", 4, 14), ("digit", 2, 14), ("code", 1, 14), ("digit", 15, 15), ("code", 6, 20)]
+    with _FORCE_LOCK:
+        for read, i, forced in reads:
+            if read == "code":
+                assert half_y.code(i) == 9 * y2[3 * i] + 3 * y2[3 * i + 1] + y2[3 * i + 2] + 13
+            else:
+                assert half_y[i] == y2[i]
+            assert counter.count == forced, (read, i)
+    assert half_y.digits == y2[:21]
+    assert half_y.codes == [9 * y2[3 * c] + 3 * y2[3 * c + 1] + y2[3 * c + 2] + 13 for c in range(7)]

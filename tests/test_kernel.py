@@ -437,9 +437,21 @@ def _quotient(x: Fraction, y: Fraction) -> SdStream:
     return sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y))
 
 
-@pytest.mark.parametrize("method", ["intern", "advance", "fill"])
+# The code that fills the tower's tables or reads v for a division, and a
+# floor under the line events that the first division below runs in it from
+# empty tables: 438, 793, 183 and 180 of them on Python 3.11.
+INTERRUPTED_TOWER_CODE = {
+    "intern": (sd_tower._Layers.intern, 100),
+    "advance": (sd_tower._Layers.advance, 100),
+    "fill": (sd_tower._Layers.fill, 100),
+    "_HalfY.code": (sd_tower._HalfY.code, 150),
+}
+
+
+@pytest.mark.parametrize("method", list(INTERRUPTED_TOWER_CODE))
 def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkeypatch, method):
     # the tables are shared by every later division in the process
+    function, floor = INTERRUPTED_TOWER_CODE[method]
     n = 12
     expected = [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS]
     k = 0
@@ -447,11 +459,11 @@ def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkey
         k += 1
         monkeypatch.setattr(sd_tower, "_LAYERS", sd_tower._Layers())
         q = _quotient(*DIVISIONS[0])
-        if not _interrupted(getattr(sd_tower._Layers, method).__code__, k, lambda: take_prefix(q, n)):
+        if not _interrupted(function.__code__, k, lambda: take_prefix(q, n)):
             break
         _reread(take_prefix, q, n, expected[0])
         assert [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS] == expected, k
-    assert k > 100
+    assert k > floor
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
