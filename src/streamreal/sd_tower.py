@@ -11,12 +11,13 @@ in nested rows that fill on first use.
 The layer loop holds each layer as the row of its state, so that one layer
 step is three subscripts of small ints: ``row[code][h]`` is the next row and
 the code the layer emits, where ``code`` is the 3-digit code the layer below
-passes up and ``h`` the code of the chunk of y/2 that the layer reads.  A
-new layer takes the same step from the start row of its kind, the row of its
-unprimed state.  How a state reads y/2 is :func:`_reads_y`: a first layer
-whose two doubles both copy reads every digit of y/2, so it reads its chunk
-whole; one that can still splice onto a constant reads y/2 digit by digit
-and forces v only as far as it reads.
+passes up and ``h`` the code of the chunk of y/2 that the layer reads, both
+plain codes in 0..26, not scaled.  A row names its state by the id it holds
+after its 27 lists.  A new layer takes the same step from the start row of
+its kind, the row of its unprimed state.  How a state reads y/2 is
+:func:`_reads_y`: a first layer whose two doubles both copy reads every
+digit of y/2, so it reads its chunk whole; one that can still splice onto a
+constant reads y/2 digit by digit and forces v only as far as it reads.
 """
 
 from __future__ import annotations

@@ -126,12 +126,13 @@ def test_every_filled_entry_is_three_layer_steps(monkeypatch):
     entries = {}
     rows = list(layers.ids.values())
     for row in rows:
-        assert layers.ids[layers.states[row[27]]] is row
+        first = layers.states[row[27]]
+        assert layers.ids[first] is row
         for below in range(27):
             for h, entry in enumerate(row[below]):
                 if entry is None:
                     continue
-                state, code = layers.states[row[27]], 0
+                state, code = first, 0
                 for a, b in zip(sd_tower._digits3(below), sd_tower._digits3(h)):
                     state, d = sd_ops._layer_step(state, a, b)
                     code = 3 * code + (d or 0) + 1
@@ -146,15 +147,12 @@ def test_half_y_reads_v_as_far_as_mixed_reads_need():
     # 3c + 2 cells and a digit read p to p cells, never further.
     v, counter = with_force_count(sd_ops.encode(F(5, 7)))
     y2 = [0] + take_prefix(sd_ops.encode(F(5, 7)), 20)
+    codes = [9 * y2[3 * c] + 3 * y2[3 * c + 1] + y2[3 * c + 2] + 13 for c in range(7)]
     half_y = sd_tower._HalfY(v)
     reads = [("code", 0, 2), ("digit", 3, 3), ("digit", 4, 4), ("code", 3, 11), ("digit", 12, 12),
              ("code", 4, 14), ("digit", 2, 14), ("code", 1, 14), ("digit", 15, 15), ("code", 6, 20)]
     with _FORCE_LOCK:
         for read, i, forced in reads:
-            if read == "code":
-                assert half_y.code(i) == 9 * y2[3 * i] + 3 * y2[3 * i + 1] + y2[3 * i + 2] + 13
-            else:
-                assert half_y[i] == y2[i]
+            assert (half_y.code(i) == codes[i]) if read == "code" else (half_y[i] == y2[i])
             assert counter.count == forced, (read, i)
-    assert half_y.digits == y2[:21]
-    assert half_y.codes == [9 * y2[3 * c] + 3 * y2[3 * c + 1] + y2[3 * c + 2] + 13 for c in range(7)]
+    assert half_y.digits == y2 and half_y.codes == codes
