@@ -15,9 +15,10 @@ Berger, Miyamoto, Schwichtenberg and Tsuiki 2016) do.  :func:`negate`
 works in either mode and keeps it.  :func:`to_sd` of a code that an
 operation built and nobody has forced yet is the signed-digit stream the
 code was built from, so a chain of Gray operations runs as the chain of
-signed-digit ones with one conversion at each end.  Only the conversions
-and the :func:`to_h`/:func:`to_g` rewrite read Gray nodes; :func:`decode`
-reads the digits of the inverse conversion.
+signed-digit ones with one conversion at each end; :func:`to_h` and
+:func:`to_g` are the from-SD conversion started in the other mode.  Only
+the conversions read Gray nodes; :func:`decode` reads the digits of the
+inverse conversion.
 """
 
 from __future__ import annotations
@@ -67,26 +68,18 @@ def negate(node: GrayNode) -> GrayNode:
     return _from_sd_in(type(node), sd_ops.negate(to_sd(node)))
 
 
-def _switch_mode(node: GrayNode, cls: type) -> GrayNode:
-    def pull():
-        c = node._force()
-        raise StopIteration(cls.cons(c.head, c.tail if c.head is None else negate(c.tail)))
-
-    return cls(pull)
-
-
 def to_h(g: GrayG) -> GrayH:
-    """Rewrite a mode-G code as a mode-H code of the same value.
-
-    Single-constructor rewrite, no corecursion: a sign node keeps its sign
-    and negates its continuation, a delay node switches delay flavour.
-    """
-    return _switch_mode(g, GrayH)
+    """Rewrite a mode-G code as a mode-H code of the same value: the
+    from-SD automaton started in mode H, ``_from_sd_in(GrayH, to_sd(g))``.
+    It reads one constructor of ``g`` per constructor it emits: a sign node
+    keeps its sign and a delay node switches delay flavour, as the direct
+    rewrite does."""
+    return _from_sd_in(GrayH, to_sd(g))
 
 
 def to_g(h: GrayH) -> GrayG:
-    """Inverse rewrite of :func:`to_h` (the same equations)."""
-    return _switch_mode(h, GrayG)
+    """Inverse rewrite of :func:`to_h`: ``_from_sd_in(GrayG, to_sd(h))``."""
+    return _from_sd_in(GrayG, to_sd(h))
 
 
 def add_one(g: GrayG) -> GrayG:

@@ -292,14 +292,15 @@ def divide(u: SdStream, v: SdStream) -> SdStream:
     Numerator layer j + 1 is ``double(double(average(x_j, -+y/2)))`` or
     ``double(x_j)`` of layer j, the streams :func:`twice_minus`,
     :func:`twice_plus` and :func:`double` build, but no layer is a stream:
-    each is one small-int state of :func:`_layer_step`, the automaton that
-    runs :func:`twice_minus` and :func:`twice_plus`.  Every output digit
-    reads three digits of ``u`` and passes them up the tower as one 3-digit
-    code, one memoized table lookup per layer, and takes its digit from the
-    top layer's code.  Layer j reads ``y/2`` at a position fixed by j and
-    the step until its automata splice onto a constant, and a digit of ``v``
-    is forced when the first layer reads it, so both inputs are forced
-    exactly as far as a tower of memoized streams would force them.
+    each is one interned state of :func:`_layer_step`, the automaton that
+    runs :func:`twice_minus` and :func:`twice_plus`, held as the row of its
+    memoized transitions.  Every output digit reads three digits of ``u``
+    and passes them up the tower as one 3-digit code, one lookup in each
+    layer's row, and takes its digit from the top layer's code.  Layer j
+    reads ``y/2`` at a position fixed by j and the step until its automata
+    splice onto a constant, and a digit of ``v`` is forced when the first
+    layer reads it, so both inputs are forced exactly as far as a tower of
+    memoized streams would force them.
     """
     from .sd_tower import quotient_digits  # loaded by the first division, not the package
 

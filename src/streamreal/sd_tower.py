@@ -1,4 +1,4 @@
-"""The numerator tower of the signed-digit division as a flat state vector.
+"""The numerator tower of the signed-digit division as interned transition rows.
 
 :func:`streamreal.sd_ops.divide` runs :func:`quotient_digits` and imports
 this module on its first call.  Numerator layer j + 1 of the division is
@@ -12,10 +12,10 @@ The layer loop holds each layer as the row of its state, so that one layer
 step is three subscripts of small ints: ``row[code][h]`` is the next row and
 the code the layer emits, where ``code`` is the 3-digit code the layer below
 passes up and ``h`` the code of the chunk of y/2 that the layer reads, both
-plain codes in 0..26, not scaled.  A row names its state by the id it holds
-after its 27 lists.  A new layer takes the same step from the start row of
-its kind, the row of its unprimed state.  How a state reads y/2 is
-:func:`_reads_y`: a first layer whose two doubles both copy reads every
+plain codes in 0..26, not scaled.  A row holds its state after its 27
+lists, and then how that state reads y/2, :func:`_reads_y`.  A new layer
+takes the same step from the start row of its kind, the row of its
+unprimed state.  A first layer whose two doubles both copy reads every
 digit of y/2, so it reads its chunk whole; one that can still splice onto a
 constant reads y/2 digit by digit and forces v only as far as it reads.
 """
@@ -60,22 +60,19 @@ class _Layers:
 
     Each interned state owns one row, a plain list: entries 0 to 26 are
     lists of 27 entries, indexed by the code from below and then by the code
-    of y/2, and entry 27 is the state's id, its index in ``states`` and
-    ``reads_y``.  An entry is ``(next row, code emitted)``, or None until
-    its first use fills it.  ``start[kind]`` is the row of the unprimed
-    state of each kind, so a new layer is one step from its kind's start
-    row; it emits no digit while it primes, and the code in a start row's
-    entries is never read.  Divisions step only while a cell is being
-    forced, under the kernel's force lock, so the rows need no lock of
-    their own.
+    of y/2, entry 27 is the state and entry 28 its ``_reads_y``.  An entry
+    is ``(next row, code emitted)``, or None until its first use fills it.
+    ``start[kind]`` is the row of the unprimed state of each kind, so a new
+    layer is one step from its kind's start row; it emits no digit while it
+    primes, and the code in a start row's entries is never read.  Divisions
+    step only while a cell is being forced, under the kernel's force lock,
+    so the rows need no lock of their own.
     """
 
     def __init__(self) -> None:
-        self.states: list[tuple] = []
         self.ids: dict[tuple, list] = {}  # state -> its row
-        self.reads_y: list[int] = []  # per state id: _reads_y(state)
-        # one copy of each entry (next row, code), keyed by 27 * next id + code
-        self.steps: dict[int, tuple[list, int]] = {}
+        # one copy of each entry (next row, code), keyed by (next state, code)
+        self.steps: dict[tuple, tuple[list, int]] = {}
         # the rows of the unprimed states, indexed by kind: 0, 1, -1
         self.start = [self.intern((0, None, None, "dispatch")),
                       self.intern((1, None, "dispatch", "dispatch")),
@@ -89,14 +86,8 @@ class _Layers:
             state = (kind, None, s1, s2)
         row = self.ids.get(state)
         if row is None:
-            # reads_y is written from index sid on, the state appended after
-            # it and the row published last, so an interrupt in between
-            # publishes no row without its state and leaves no id misaligned.
-            sid = len(self.states)
-            self.reads_y[sid:] = [_reads_y(state)]
             row = [[None] * 27 for _ in range(27)]
-            row.append(sid)
-            self.states.append(state)
+            row += state, _reads_y(state)
             self.ids[state] = row
         return row
 
@@ -106,7 +97,7 @@ class _Layers:
         ``half_y`` from ``first`` only as far as the layer does; the next
         row and the code emitted, with 0 for a digit not emitted while the
         layer primes."""
-        state = self.states[row[27]]
+        state = row[27]
         code = 0
         for i, a in enumerate(_digits3(below)):
             state, x = _layer_step(state, a, half_y[first + i] if _reads_y(state) else 0)
@@ -116,7 +107,7 @@ class _Layers:
     def fill(self, row: list, below: int, h: int) -> tuple[list, int]:
         """The three-digit step ``row[below][h]``, stepped and stored."""
         step = self.advance(row, below, _digits3(h), 0)
-        step = row[below][h] = self.steps.setdefault(27 * step[0][27] + step[1], step)
+        step = row[below][h] = self.steps.setdefault((step[0][27], step[1]), step)
         return step
 
 
@@ -170,7 +161,6 @@ class _HalfY:
 def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     """The digits of ``sd_ops.divide(u, v)``."""
     layers = _LAYERS
-    reads_y = layers.reads_y
     fill = layers.fill
     start = layers.start
     kinds = _KIND
@@ -178,7 +168,7 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     codes = half_y.codes
     # rows[j] is the row of numerator layer j >= 1; layer 0 is u itself
     rows = [None]
-    below_top = kind = k = 0
+    k = 0
     while True:
         u = u._force()
         d0 = u.head
@@ -187,12 +177,6 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
         u = u.tail._force()
         code = 9 * d0 + 3 * d1 + u.head + 13
         u = u.tail
-        if k:
-            # layer k, of the kind the last digit chose, primes on the code
-            # its layer below had at the last step
-            row = start[kind]
-            h = half_y.code(0) if kind else _NO_DIGITS
-            rows.append((row[below_top][h] or fill(row, below_top, h))[0])
         # At step k layer j reads the code of layer j - 1 and chunk k - j + 1
         # of y/2.  The lowest layers may need a chunk not read yet: a layer
         # that may splice steps digit by digit and forces v only as far as
@@ -201,7 +185,7 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
         j = 1
         while j <= k and k - j + 1 >= len(codes):
             row = rows[j]
-            reads = reads_y[row[27]]
+            reads = row[28]
             if reads == 1:
                 rows[j], code = layers.advance(row, code, half_y, 3 * (k - j + 1))
             else:
@@ -210,7 +194,11 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
             j += 1
         for j, h in enumerate(codes[k - j + 1:0:-1], j):
             rows[j], code = rows[j][code][h] or fill(rows[j], code, h)
-        below_top = code
         kind = kinds[code]
         k += 1
         yield kind
+        # layer k, of the kind just emitted, primes on the code of the top
+        # layer at this step, at the start of the next pull
+        row = start[kind]
+        h = half_y.code(0) if kind else _NO_DIGITS
+        rows.append((row[code][h] or fill(row, code, h))[0])

@@ -126,8 +126,9 @@ def test_every_filled_entry_is_three_layer_steps(monkeypatch):
     entries = {}
     rows = list(layers.ids.values())
     for row in rows:
-        first = layers.states[row[27]]
+        first = row[27]
         assert layers.ids[first] is row
+        assert len(row) == 29 and row[28] == sd_tower._reads_y(first)
         for below in range(27):
             for h, entry in enumerate(row[below]):
                 if entry is None:

@@ -106,7 +106,8 @@ def test_to_h_to_g_single_constructor_rewrite():
 
     delay = gray(0)  # leading delay node
     forced = delay.force()
-    assert gray_ops.to_h(delay).force().tail is forced.tail  # U(v) -> D(v), v shared
+    # U(v) -> D(v)
+    assert take_gray_prefix(gray_ops.to_h(delay), 4) == [("h", None)] + take_gray_prefix(forced.tail, 3)
     h_delay = GrayH.cons(None, forced.tail)
     assert take_gray_prefix(gray_ops.to_g(h_delay), 3) == take_gray_prefix(delay, 3)
 
@@ -300,6 +301,7 @@ def test_to_sd_of_an_unforced_built_code_is_its_source():
         g = gray_ops.from_sd(u)
         assert type(g) is GrayG
         assert gray_ops.to_sd(g) is u
+        assert gray_ops.to_sd(gray_ops.to_h(g)) is gray_ops.to_sd(g)
         h = gray_ops.negate(gray_ops.to_h(g))
         assert type(h) is GrayH
         assert gray_ops.to_sd(h) is gray_ops.to_sd(h)

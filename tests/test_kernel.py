@@ -405,8 +405,8 @@ def _reread(take, x, n: int, expected: list) -> bool:
 
 F = Fraction
 INTERRUPTED_READS = {
-    # generator layers, a splice and, in Gray, the view's pull and the
-    # hand-written pull of to_h
+    # generator layers, a splice and, in Gray, the view's pull, started in
+    # mode H by to_h
     "sd": (lambda: sd_ops.negate(sd_ops.average(sd_ops.double(sd_ops.half(sd_ops.encode(F(1, 3)))),
                                                 sd_ops.negate(sd_ops.encode(F(-2, 7))))), take_prefix),
     "gray": (lambda: gray_ops.to_h(gray_ops.average(gray_ops.encode(F(1, 3)), gray_ops.encode(F(-2, 7)))),
@@ -439,7 +439,7 @@ def _quotient(x: Fraction, y: Fraction) -> SdStream:
 
 # The code that fills the tower's tables or reads v for a division, and a
 # floor under the line events that the first division below runs in it from
-# empty tables: 438, 793, 183 and 180 of them on Python 3.11.
+# empty tables: 402, 793, 183 and 180 of them on Python 3.11.
 INTERRUPTED_TOWER_CODE = {
     "intern": (sd_tower._Layers.intern, 100),
     "advance": (sd_tower._Layers.advance, 100),

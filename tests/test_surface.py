@@ -94,7 +94,6 @@ def test_private_imports_between_modules_are_the_committed_set():
 # lock, and code that only a pull runs.  (module, qualified name)
 UNLOCKED_FORCERS = {
     ("kernel", "Cell._force"),
-    ("gray_ops", "_switch_mode.pull"),  # the pull of to_h/to_g
     ("sd_tower", "_HalfY.__getitem__"),  # reads v for quotient_digits
     ("sd_tower", "_HalfY.code"),  # reads whole chunks of v for quotient_digits
 }
