@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Accept the unicode minus sign on input; we always print the ASCII one.
-_MINUS_SIGNS = "−-"
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``P/Q`` or a bare integer ``P`` into a fraction.
@@ -20,9 +17,7 @@ def parse_rational(text: str) -> Fraction:
     positive; the optional sign (``+``, ASCII ``-`` or unicode minus)
     belongs to the numerator.
     """
-    s = text.strip()
-    for sign in _MINUS_SIGNS:
-        s = s.replace(sign, "-")
+    s = text.strip().replace("−", "-")
     num_text, slash, den_text = s.partition("/")
     num_digits = num_text[1:] if num_text[:1] in ("+", "-") else num_text
     try:

@@ -13,11 +13,13 @@ step is three subscripts of small ints: ``row[code][h]`` is the next row and
 the code the layer emits, where ``code`` is the 3-digit code the layer below
 passes up and ``h`` the code of the chunk of y/2 that the layer reads, both
 plain codes in 0..26, not scaled.  A row holds its state after its 27
-lists, and then how that state reads y/2, :func:`_reads_y`.  A new layer
-takes the same step from the start row of its kind, the row of its
-unprimed state.  A first layer whose two doubles both copy reads every
-digit of y/2, so it reads its chunk whole; one that can still splice onto a
-constant reads y/2 digit by digit and forces v only as far as it reads.
+lists, then how that state reads y/2, :func:`_reads_y`, and then the 27
+entries that lead into it, one for each code emitted.  A new layer takes the
+same step from the start row of its kind, the row of its unprimed state.
+y/2 is read from the memoized cells of ``half(v)``.  A first layer whose
+two doubles both copy reads every digit of y/2, so it reads its chunk
+whole; one that can still splice onto a constant reads y/2 digit by digit
+and forces v only as far as it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .kernel import SdStream
-from .sd_ops import _is_const, _layer_step
+from .sd_ops import _is_const, _layer_step, half
 
 
 def _digits3(code: int) -> tuple[int, int, int]:
@@ -60,19 +62,19 @@ class _Layers:
 
     Each interned state owns one row, a plain list: entries 0 to 26 are
     lists of 27 entries, indexed by the code from below and then by the code
-    of y/2, entry 27 is the state and entry 28 its ``_reads_y``.  An entry
-    is ``(next row, code emitted)``, or None until its first use fills it.
-    ``start[kind]`` is the row of the unprimed state of each kind, so a new
-    layer is one step from its kind's start row; it emits no digit while it
-    primes, and the code in a start row's entries is never read.  Divisions
-    step only while a cell is being forced, under the kernel's force lock,
-    so the rows need no lock of their own.
+    of y/2, entry 27 is the state, entry 28 its ``_reads_y``, and entry
+    29 + c is ``(row, c)``, the entry of every step into this row that
+    emits the code c.  An entry is ``(next row, code emitted)``, one of the
+    next row's own, or None until its first use fills it.  ``start[kind]``
+    is the row of the unprimed state of each kind, so a new layer is one
+    step from its kind's start row; it emits no digit while it primes, and
+    the code in a start row's entries is never read.  Divisions step only
+    while a cell is being forced, under the kernel's force lock, so the rows
+    need no lock of their own.
     """
 
     def __init__(self) -> None:
         self.ids: dict[tuple, list] = {}  # state -> its row
-        # one copy of each entry (next row, code), keyed by (next state, code)
-        self.steps: dict[tuple, tuple[list, int]] = {}
         # the rows of the unprimed states, indexed by kind: 0, 1, -1
         self.start = [self.intern((0, None, None, "dispatch")),
                       self.intern((1, None, "dispatch", "dispatch")),
@@ -88,6 +90,7 @@ class _Layers:
         if row is None:
             row = [[None] * 27 for _ in range(27)]
             row += state, _reads_y(state)
+            row += [(row, c) for c in range(27)]
             self.ids[state] = row
         return row
 
@@ -102,12 +105,11 @@ class _Layers:
         for i, a in enumerate(_digits3(below)):
             state, x = _layer_step(state, a, half_y[first + i] if _reads_y(state) else 0)
             code = 3 * code + (x or 0) + 1
-        return self.intern(state), code
+        return self.intern(state)[29 + code]
 
     def fill(self, row: list, below: int, h: int) -> tuple[list, int]:
         """The three-digit step ``row[below][h]``, stepped and stored."""
-        step = self.advance(row, below, _digits3(h), 0)
-        step = row[below][h] = self.steps.setdefault((step[0][27], step[1]), step)
+        row[below][h] = step = self.advance(row, below, _digits3(h), 0)
         return step
 
 
@@ -115,46 +117,38 @@ _LAYERS = _Layers()
 
 
 class _HalfY:
-    """Digits of ``y/2 = 0 :: y``, each forced from ``v`` when first read,
-    by :func:`quotient_digits` inside a force, so under the force lock.
+    """Digits of ``y/2``, read from the memoized cells of ``half(v)``, by
+    :func:`quotient_digits` inside a force, so under the force lock.
 
-    ``codes[c]`` packs digits ``3c .. 3c + 2`` once all three are known.
+    ``codes[c]`` packs digits ``3c .. 3c + 2`` once all three are read, and
+    ``cell`` is the cell of digit ``3 * len(codes)``.
     """
 
-    __slots__ = ("cell", "digits", "codes")
+    __slots__ = ("cell", "codes")
 
     def __init__(self, v: SdStream):
-        self.cell = v
-        self.digits = [0]
+        self.cell = half(v)
         self.codes: list[int] = []
 
     def __getitem__(self, p: int) -> int:
-        """Digit ``p``; the digits are read in order, so ``p`` is at most
-        one past the last digit read."""
-        digits = self.digits
-        if p == len(digits):
-            cell = self.cell._force()
-            digits.append(cell.head)
-            self.cell = cell.tail
-            if p % 3 == 2:
-                self.codes.append(9 * digits[-3] + 3 * digits[-2] + cell.head + 13)
-        return digits[p]
+        """Digit ``p``, which lies in the chunk after the last one packed;
+        reading the chunk's last digit packs it."""
+        cell = self.cell._force()
+        for _ in range(p % 3):
+            cell = cell.tail._force()
+        if p % 3 == 2:
+            self.code(len(self.codes))
+        return cell.head
 
     def code(self, c: int) -> int:
-        """``codes[c]``, reading its digits first if need be: the rest of a
-        chunk read in part digit by digit, then each whole chunk at once."""
+        """``codes[c]``, reading whole each chunk up to ``c`` not yet packed."""
         codes = self.codes
-        if len(codes) <= c:
-            digits = self.digits
-            while len(digits) % 3:
-                self[len(digits)]
-            while len(codes) <= c:
-                a = self.cell._force()
-                b = a.tail._force()
-                d = b.tail._force()
-                self.cell = d.tail
-                digits += a.head, b.head, d.head
-                codes.append(9 * a.head + 3 * b.head + d.head + 13)
+        while len(codes) <= c:
+            a = self.cell._force()
+            b = a.tail._force()
+            d = b.tail._force()
+            self.cell = d.tail
+            codes.append(9 * a.head + 3 * b.head + d.head + 13)
         return codes[c]
 
 

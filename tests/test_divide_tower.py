@@ -113,6 +113,26 @@ def test_splice_stops_reading_v():
         assert [u for _, _, u, _ in walk_out] == [3 * n for n in range(1, 41)]
 
 
+def test_splice_pairs_step_digit_by_digit_only_where_a_chunk_is_open(monkeypatch):
+    # A layer that may splice steps digit by digit only while its chunk of
+    # y/2 is not yet packed; a digit read that ends a chunk packs it, so the
+    # layers above read it as one code.  (1, 63/64) and (7/8, 47/64) take
+    # two such steps in all.  (1, 0) never packs chunk 1, whose first digit
+    # each new layer reads before it splices: one step per output digit.
+    steps = []
+    advance = sd_tower._Layers.advance
+
+    def counted(self, row, below, half_y, first):
+        steps[-1] += isinstance(half_y, sd_tower._HalfY)
+        return advance(self, row, below, half_y, first)
+
+    monkeypatch.setattr(sd_tower._Layers, "advance", counted)
+    for x, y in [(F(1), F(63, 64)), (F(1), F(0)), (F(7, 8), F(47, 64))]:
+        steps.append(0)
+        take_prefix(sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y)), 40)
+    assert steps == [2, 39, 2]
+
+
 def test_every_filled_entry_is_three_layer_steps(monkeypatch):
     # Fill the rows from empty tables with the seeded pairs, then step every
     # filled entry again: three digits below and three of y/2 through the
@@ -128,7 +148,8 @@ def test_every_filled_entry_is_three_layer_steps(monkeypatch):
     for row in rows:
         first = row[27]
         assert layers.ids[first] is row
-        assert len(row) == 29 and row[28] == sd_tower._reads_y(first)
+        assert len(row) == 56 and row[28] == sd_tower._reads_y(first)
+        assert row[29:] == [(row, c) for c in range(27)]
         for below in range(27):
             for h, entry in enumerate(row[below]):
                 if entry is None:
@@ -138,22 +159,25 @@ def test_every_filled_entry_is_three_layer_steps(monkeypatch):
                     state, d = sd_ops._layer_step(state, a, b)
                     code = 3 * code + (d or 0) + 1
                 assert len(entry) == 2 and entry[0] is layers.intern(state) and entry[1] == code
-                assert entries.setdefault((id(entry[0]), code), entry) is entry
+                assert entry is layers.intern(state)[29 + code]
+                entries[id(entry)] = entry
     assert len(layers.ids) == len(rows) and len(entries) > 100
 
 
 def test_half_y_reads_v_as_far_as_mixed_reads_need():
     # Digit reads and whole-chunk reads interleaved, starting inside the
     # first chunk, whose digit 0 is known: code(c) forces v to exactly
-    # 3c + 2 cells and a digit read p to p cells, never further.
+    # 3c + 2 cells and a digit read p to p cells, never further.  Reading
+    # the last digit of a chunk packs it, so its code forces nothing more.
     v, counter = with_force_count(sd_ops.encode(F(5, 7)))
     y2 = [0] + take_prefix(sd_ops.encode(F(5, 7)), 20)
     codes = [9 * y2[3 * c] + 3 * y2[3 * c + 1] + y2[3 * c + 2] + 13 for c in range(7)]
     half_y = sd_tower._HalfY(v)
     reads = [("code", 0, 2), ("digit", 3, 3), ("digit", 4, 4), ("code", 3, 11), ("digit", 12, 12),
-             ("code", 4, 14), ("digit", 2, 14), ("code", 1, 14), ("digit", 15, 15), ("code", 6, 20)]
+             ("code", 4, 14), ("code", 1, 14), ("digit", 15, 15), ("digit", 16, 16), ("digit", 17, 17),
+             ("code", 5, 17), ("code", 6, 20)]
     with _FORCE_LOCK:
         for read, i, forced in reads:
             assert (half_y.code(i) == codes[i]) if read == "code" else (half_y[i] == y2[i])
             assert counter.count == forced, (read, i)
-    assert half_y.digits == y2 and half_y.codes == codes
+    assert half_y.codes == codes

@@ -437,31 +437,34 @@ def _quotient(x: Fraction, y: Fraction) -> SdStream:
     return sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y))
 
 
-# The code that fills the tower's tables or reads v for a division, and a
-# floor under the line events that the first division below runs in it from
-# empty tables: 402, 793, 183 and 180 of them on Python 3.11.
+# The code that fills the tower's tables or reads v for a division, a floor
+# under the line events that the division named runs in it from empty tables
+# while it reads the number of digits named, and that division's index in
+# DIVISIONS: 414, 793 and 122 line events in intern, advance and fill, 183
+# in _HalfY.code and 38 in _HalfY.__getitem__, on Python 3.11.  The first
+# division reads y/2 only in whole chunks, and (1, 63/64) digit by digit too.
 INTERRUPTED_TOWER_CODE = {
-    "intern": (sd_tower._Layers.intern, 100),
-    "advance": (sd_tower._Layers.advance, 100),
-    "fill": (sd_tower._Layers.fill, 100),
-    "_HalfY.code": (sd_tower._HalfY.code, 150),
+    "intern": (sd_tower._Layers.intern, 100, 0, 12),
+    "advance": (sd_tower._Layers.advance, 100, 0, 12),
+    "fill": (sd_tower._Layers.fill, 100, 0, 12),
+    "_HalfY.code": (sd_tower._HalfY.code, 150, 0, 16),
+    "_HalfY.__getitem__": (sd_tower._HalfY.__getitem__, 30, 2, 12),
 }
 
 
 @pytest.mark.parametrize("method", list(INTERRUPTED_TOWER_CODE))
 def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkeypatch, method):
     # the tables are shared by every later division in the process
-    function, floor = INTERRUPTED_TOWER_CODE[method]
-    n = 12
+    function, floor, i, n = INTERRUPTED_TOWER_CODE[method]
     expected = [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS]
     k = 0
     while True:
         k += 1
         monkeypatch.setattr(sd_tower, "_LAYERS", sd_tower._Layers())
-        q = _quotient(*DIVISIONS[0])
+        q = _quotient(*DIVISIONS[i])
         if not _interrupted(function.__code__, k, lambda: take_prefix(q, n)):
             break
-        _reread(take_prefix, q, n, expected[0])
+        _reread(take_prefix, q, n, expected[i])
         assert [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS] == expected, k
     assert k > floor
 
