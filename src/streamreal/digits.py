@@ -39,5 +39,27 @@ def _is_decimal(text: str) -> bool:
 
 
 def format_rational(a: Fraction) -> str:
-    """Render as ``P/Q`` (denominator always shown, ASCII minus)."""
-    return f"{a.numerator}/{a.denominator}"
+    """Render as ``P/Q`` (denominator always shown, ASCII minus), at any
+    size."""
+    return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
+
+
+_CHUNK_DIGITS = 600  # below 640, the least nonzero limit Python allows
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, and past the interpreter's limit on converting an int
+    to ``str`` (``sys.get_int_max_str_digits()``) the same digits, written
+    in chunks of ``_CHUNK_DIGITS``; the limit is not changed."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    chunk = 10 ** _CHUNK_DIGITS
+    rest = abs(n)
+    parts = []
+    while rest >= chunk:
+        rest, low = divmod(rest, chunk)
+        parts.append(f"{low:0{_CHUNK_DIGITS}d}")
+    parts.append(f"{'-' if n < 0 else ''}{rest}")
+    return "".join(reversed(parts))

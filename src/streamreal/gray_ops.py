@@ -155,6 +155,11 @@ class _Source:
     def __call__(self):
         raise StopIteration(stream_from_digits(_from_sd(self.u, self.cls is GrayG), self.cls))
 
+    def view_of(self, u: SdStream) -> GrayNode:
+        """The same view, in the same mode, of ``u`` in place of its source:
+        how :func:`streamreal.kernel.with_force_count` counts a view."""
+        return _from_sd_in(self.cls, u)
+
 
 def _from_sd_in(cls: type, u: SdStream) -> GrayNode:
     """The from-SD automaton started in the mode of ``cls``, flag 1."""

@@ -41,9 +41,11 @@ soon as every reader has moved on: memory grows with the live frontier, not
 the history.  Any other exception that leaves a force, an interrupt
 included, fails the cell for good: forcing it again raises
 ``RuntimeError``, so no reader sees a stream that skipped a symbol.
-The only generators over Gray cells are the two conversions and the force
-counter: every Gray operation runs a signed-digit automaton between the
-conversions (:mod:`streamreal.gray_ops`).
+The only generators over Gray cells are the to-SD conversion and the
+force counter of a code that is no longer a view: every Gray operation runs
+a signed-digit automaton between the conversions
+(:mod:`streamreal.gray_ops`), and :func:`with_force_count` counts an
+unforced view on its signed-digit source.
 """
 
 from __future__ import annotations
@@ -223,16 +225,17 @@ def unfold_sd(seed: Any, step: Callable[[Any], tuple[int, Any]]) -> SdStream:
 
 
 def take_prefix(u: SdStream, n: int) -> list[int]:
-    """First ``n`` digits of ``u``; forces exactly ``n`` cells."""
+    """First ``n`` digits of ``u``; forces exactly ``n`` cells.  The walk
+    moves ``u`` itself, so the cells read are garbage once no caller holds
+    the head."""
     if n < 0:
         raise ValueError("prefix length must be >= 0")
     out = []
-    cell = u
     with _FORCE_LOCK:
         for _ in range(n):
-            cell = cell._force()
-            out.append(cell.head)
-            cell = cell.tail
+            u = u._force()
+            out.append(u.head)
+            u = u.tail
     return out
 
 
@@ -240,17 +243,17 @@ def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
     """First ``n`` constructors as ``(mode, sign)`` pairs, forcing exactly n.
 
     ``mode`` is ``"g"`` or ``"h"``; ``sign`` is +1/-1 or ``None`` for the
-    delay constructors.
+    delay constructors.  Like :func:`take_prefix`, the walk moves ``node``
+    itself.
     """
     if n < 0:
         raise ValueError("prefix length must be >= 0")
     out = []
-    cur = node
     with _FORCE_LOCK:
         for _ in range(n):
-            cur = cur._force()
-            out.append(("g" if cur.is_g else "h", cur.head))
-            cur = cur.tail
+            node = node._force()
+            out.append(("g" if node.is_g else "h", node.head))
+            node = node.tail
     return out
 
 
@@ -276,9 +279,18 @@ def with_force_count(u: Cell) -> tuple[Cell, _ForceCount]:
 
     Works on both codings.  The wrapper behaves identically to ``u``; its
     own cells are memoized, so re-reading a forced prefix does not inflate
-    the tally.
+    the tally.  An unforced Gray view, a code whose head pull keeps the
+    signed-digit stream it converts (:mod:`streamreal.gray_ops`), is
+    counted on that stream instead and comes back as the same view over the
+    counted one: the view reads one digit per constructor it emits and
+    hands its source to ``to_sd``, so the tally is the same and a Gray op
+    reads the counted code at signed-digit cost.
     """
     counter = _ForceCount()
+    pull = u._pull
+    view_of = getattr(pull, "view_of", None)
+    if view_of is not None:
+        return view_of(stream_from_digits(_counted(counter, pull.u))), counter
     return stream_from_digits(_counted(counter, u), type(u)), counter
 
 

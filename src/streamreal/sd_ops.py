@@ -173,6 +173,7 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
     does, and splicing as it does onto the constant once the outer double
     turns constant."""
     w = half(v)
+    del v  # w reads on from here; v would keep every digit read
     state = (kind, None, "dispatch", "dispatch")
     while not state[2] == state[3] == "copy":
         u = u._force()

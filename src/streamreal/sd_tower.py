@@ -159,6 +159,7 @@ def quotient_digits(u: SdStream, v: SdStream) -> Iterator[int]:
     start = layers.start
     kinds = _KIND
     half_y = _HalfY(v)
+    del v  # half_y reads on from here; v would keep every digit read
     codes = half_y.codes
     # rows[j] is the row of numerator layer j >= 1; layer 0 is u itself
     rows = [None]
