@@ -187,7 +187,8 @@ def to_sd(node: GrayNode) -> SdStream:
     """Inverse automaton of :func:`from_sd` (works from either mode).
 
     A code that :func:`from_sd` or a Gray op built, read before its head is
-    forced, gives back the signed-digit stream it was built from.
+    forced, gives back the signed-digit stream it was built from; one that
+    :func:`streamreal.kernel.with_force_count` counted, the counted stream.
     """
     pull = node._pull
     if type(pull) is _Source:

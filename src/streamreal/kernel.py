@@ -41,11 +41,11 @@ soon as every reader has moved on: memory grows with the live frontier, not
 the history.  Any other exception that leaves a force, an interrupt
 included, fails the cell for good: forcing it again raises
 ``RuntimeError``, so no reader sees a stream that skipped a symbol.
-The only generators over Gray cells are the to-SD conversion and the
-force counter of a code that is no longer a view: every Gray operation runs
-a signed-digit automaton between the conversions
-(:mod:`streamreal.gray_ops`), and :func:`with_force_count` counts an
-unforced view on its signed-digit source.
+The only generators that read Gray cells are the to-SD conversion and the
+force counter, and the counter only on a code that is not an unforced
+view: every Gray operation runs a signed-digit automaton between the
+conversions (:mod:`streamreal.gray_ops`), and :func:`with_force_count`
+counts an unforced view on its signed-digit source.
 """
 
 from __future__ import annotations

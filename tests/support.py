@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: fixed streams, random inputs, bounds,
 the Cauchy-real difference and absolute value, a per-symbol walk of an
 operation's output, parsers of the CLI's digit output, and the reference
-implementations that the library is checked against: the signed-digit
-generators of the average and the doublings, the stream-tower divisions,
-the direct Gray-code equations and the affine Gray decoder."""
+implementations that the library is checked against: the force counter as
+a plain wrapper, the signed-digit generators of the average and the
+doublings, the stream-tower divisions, the direct Gray-code equations and
+the affine Gray decoder."""
 
 from __future__ import annotations
 
@@ -67,11 +68,11 @@ def cauchy_absolute(x: CReal) -> CReal:
     return CReal(approx=lambda n: abs(x.approx(n)), modulus=x.modulus)
 
 
-def walk(op, inputs, n: int) -> list[tuple]:
+def walk(op, inputs, n: int, count=with_force_count) -> list[tuple]:
     """(cell class, symbol, forced count of each input) after each of the
     first n output symbols of ``op(*inputs)``, every input read through its
-    own force counter."""
-    counted = [with_force_count(x) for x in inputs]
+    own force counter, made by ``count``."""
+    counted = [count(x) for x in inputs]
     cell = op(*[stream for stream, _ in counted])
     out = []
     for _ in range(n):
@@ -79,6 +80,27 @@ def walk(op, inputs, n: int) -> list[tuple]:
         out.append((type(cell), cell.head, *[counter.count for _, counter in counted]))
         cell = cell.tail
     return out
+
+
+class _Tally:
+    count = 0
+
+
+def reference_with_force_count(u: Cell) -> tuple[Cell, _Tally]:
+    """The force counter as a wrapper cell by cell over ``u``, in the class
+    of ``u``: on a Gray code it counts the Gray nodes, where
+    ``kernel.with_force_count`` counts an unforced view on its signed-digit
+    source."""
+    counter = _Tally()
+
+    def counted(cell: Cell) -> Iterator:
+        while True:
+            cell = cell.force()
+            counter.count += 1
+            yield cell.head
+            cell = cell.tail
+
+    return stream_from_digits(counted(u), type(u)), counter
 
 
 def lazy(cls: type, thunk) -> Cell:
@@ -93,11 +115,11 @@ def lazy(cls: type, thunk) -> Cell:
 
 
 def tail_at(u: Cell, n: int) -> Cell:
-    """The stream left after dropping the first ``n`` cells."""
-    cell = u
+    """The stream left after dropping the first ``n`` cells; the walk moves
+    ``u`` itself, so it keeps no cell it has passed."""
     for _ in range(n):
-        cell = cell.force().tail
-    return cell
+        u = u.force().tail
+    return u
 
 
 # Parsers of the two wire formats that ``streamreal.cli`` prints, with their

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from streamreal import sd_ops
 from streamreal.cli import gray_to_text, main, report_line, sd_to_text
 from tests.support import text_to_gray, text_to_sd, within
 
@@ -143,6 +144,48 @@ def test_op_stats_line(capsys):
     assert fields["error-bound-ok"] == "true"
     assert fields["exact-value"] == "-1/2"
     assert int(fields["u-forced"]) <= 6
+
+
+def parse_big_int(text: str) -> int:
+    """``int(text)`` past the interpreter's str-to-int digit limit, read
+    1000 digits at a time."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def parse_big_rational(text: str) -> Fraction:
+    num, den = text.split("/")
+    return Fraction(parse_big_int(num), parse_big_int(den))
+
+
+def test_stats_print_a_decoded_value_past_the_int_to_str_limit(capsys):
+    # the decoded value's denominator 2**14285 has 4301 decimal digits, one
+    # past the interpreter's default limit for str(int)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "op", "neg", "1/3", "--stats", "--digits", "14285")
+    assert (code, err) == (0, "")
+    fields = report_fields(out.splitlines()[1])
+    assert len(fields["decoded-value"].split("/")[1]) == 4301
+    expected = sd_ops.decode(sd_ops.negate(sd_ops.encode(Fraction(1, 3))), 14285)
+    assert parse_big_rational(fields["decoded-value"]) == expected
+    assert fields["exact-value"] == "-1/3"
+    assert fields["error-bound-ok"] == "true"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_stats_print_an_exact_value_past_the_int_to_str_limit(capsys):
+    # each input parses, but the average's denominator has about 8000 digits
+    a = Fraction(1, int("7" * 4000))
+    b = Fraction(1, int("3" * 3999 + "1"))
+    code, out, err = run_cli(capsys, "op", "avg", f"1/{'7' * 4000}", f"1/{'3' * 3999}1", "--stats", "--digits", "4")
+    assert (code, err) == (0, "")
+    fields = report_fields(out.splitlines()[1])
+    assert parse_big_rational(fields["exact-value"]) == (a + b) / 2
+    assert fields["error-bound-ok"] == "true"
 
 
 def test_op_precondition_exit_3(capsys):

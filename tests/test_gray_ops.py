@@ -5,7 +5,15 @@ import random
 from fractions import Fraction
 
 from streamreal import gray_ops, sd_ops
-from streamreal.kernel import GrayG, GrayH, stream_from_digits, take_gray_prefix, take_prefix, with_force_count
+from streamreal.kernel import (
+    GrayG,
+    GrayH,
+    SdStream,
+    stream_from_digits,
+    take_gray_prefix,
+    take_prefix,
+    with_force_count,
+)
 from tests.support import (
     division_pair,
     random_sd,
@@ -14,6 +22,7 @@ from tests.support import (
     reference_gray_negate,
     reference_gray_shift,
     reference_gray_switch_mode,
+    reference_with_force_count,
     sd,
     unit_fraction,
     walk,
@@ -320,9 +329,42 @@ def test_to_sd_of_a_forced_code_runs_the_automaton():
             assert take_prefix(back, SYMBOLS) == take_prefix(expected, SYMBOLS)
 
 
-def test_a_counted_code_is_not_a_view():
-    counted, counter = with_force_count(gray_ops.encode(Fraction(5, 8)))
-    take_prefix(gray_ops.to_sd(counted), 7)
+# --- counted codes -------------------------------------------------------------
+
+def test_a_counted_view_reads_as_the_wrapper_over_its_nodes():
+    # with_force_count counts an unforced view on its signed-digit source;
+    # read directly or through to_sd, every node class, symbol and count is
+    # the one the plain wrapper over the Gray nodes gives
+    rng = random.Random(181)
+    lifts = (gray_ops.from_sd, lambda u: gray_ops.to_h(gray_ops.from_sd(u)),
+             lambda u: gray_ops.negate(gray_ops.to_h(gray_ops.from_sd(u))))
+    for _ in range(300):
+        u = random_sd(rng, 10)
+        for lift in lifts:
+            for read in (lambda x: x, gray_ops.to_sd):
+                assert walk(read, [lift(u)], SYMBOLS) == walk(read, [lift(u)], SYMBOLS, reference_with_force_count)
+
+
+def test_a_counted_view_hands_its_counted_source_to_to_sd():
+    u = sd_ops.encode(Fraction(5, 8))
+    counted, counter = with_force_count(gray_ops.from_sd(u))
+    back = gray_ops.to_sd(counted)
+    assert type(counted) is GrayG and type(back) is SdStream
+    assert back is not u and gray_ops.to_sd(counted) is back
+    assert take_prefix(back, 7) == take_prefix(u, 7)
+    assert counter.count == 7
+    # the view reads the cells that to_sd counted
+    take_gray_prefix(counted, 7)
+    assert counter.count == 7
+
+
+def test_a_counted_forced_code_counts_through_the_to_sd_automaton():
+    code = gray_ops.encode(Fraction(5, 8)).force()
+    counted, counter = with_force_count(code)
+    back = gray_ops.to_sd(counted)
+    # no source to hand back: every to_sd runs the automaton over the wrapper
+    assert gray_ops.to_sd(counted) is not back
+    assert take_prefix(back, 7) == take_prefix(gray_ops.to_sd(code), 7)
     assert counter.count == 7
 
 

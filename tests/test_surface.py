@@ -8,13 +8,15 @@ with an edit to ``PRIVATE_IMPORTS``.
 
 The same reading pins the force lock's discipline: no package code calls
 the locking ``Cell.force``, and the unlocked ``Cell._force`` runs only
-where the lock is held.
+where the lock is held.  It also pins that every package generator lets go
+of its input cells as it reads, so memory follows the read frontier.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -99,16 +101,20 @@ UNLOCKED_FORCERS = {
 }
 
 
-def is_generator(func: ast.FunctionDef) -> bool:
-    """The function's own body yields; nested functions do not count."""
+def own_nodes(func: ast.FunctionDef) -> Iterator[ast.AST]:
+    """The nodes of the function's own body; the bodies of nested
+    functions, classes and lambdas are not its own."""
     stack = list(func.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
+        yield node
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
             stack.extend(ast.iter_child_nodes(node))
-    return False
+
+
+def is_generator(func: ast.FunctionDef) -> bool:
+    """The function's own body yields."""
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own_nodes(func))
 
 
 def calls(module: str) -> list[tuple[ast.Call, str, bool, bool]]:
@@ -153,6 +159,32 @@ def test_unlocked_force_runs_only_under_the_lock():
                 for method, name, generator, locked in force_calls(module)
                 if method == "_force" and not (generator or locked)}
     assert unlocked == UNLOCKED_FORCERS
+
+
+CELL_CLASSES = {"Cell", "SdStream", "GrayNode", "GrayG", "GrayH"}
+
+
+def test_package_generators_let_go_of_each_input_cell_before_their_first_yield():
+    # a generator that keeps a cell parameter as it was passed keeps alive
+    # every cell of that stream it reads: its live set is the history, not
+    # the read frontier.  Each cell parameter must be rebound or deleted on
+    # a line above the first yield.
+    checked, kept = 0, []
+    for module in SURFACE:
+        for func in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or not is_generator(func):
+                continue
+            nodes = list(own_nodes(func))
+            first_yield = min(node.lineno for node in nodes if isinstance(node, (ast.Yield, ast.YieldFrom)))
+            for arg in func.args.posonlyargs + func.args.args + func.args.kwonlyargs:
+                if not (isinstance(arg.annotation, ast.Name) and arg.annotation.id in CELL_CLASSES):
+                    continue
+                checked += 1
+                let_go = [node.lineno for node in nodes if isinstance(node, ast.Name) and node.id == arg.arg
+                          and isinstance(node.ctx, (ast.Store, ast.Del))]
+                if not let_go or min(let_go) > first_yield:
+                    kept.append((module, func.name, arg.arg))
+    assert checked and kept == []
 
 
 def test_package_generators_run_only_in_a_cell_or_under_the_lock():
