@@ -5,9 +5,11 @@ Wire formats
     Gray code       space-separated tokens: ``R``/``L`` (mode-G sign +1/-1),
                     ``Fr``/``Fl`` (mode-H sign +1/-1), ``U``/``D`` (delays)
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation.  Digit
-output goes to standard output, one result per line; ``--stats`` adds a
-trailing ``key=value`` report line.
+Exit codes: 0 success, 2 parse error, 3 precondition violation or a run
+that does not fit in memory: a command that raises ``MemoryError`` prints
+one line to standard error and no traceback.  Digit output goes to
+standard output, one result per line; ``--stats`` adds a trailing
+``key=value`` report line.
 
 ``encode``, ``op`` and ``div`` check their arguments and then share one
 runner, :func:`_run`.  Every command computes in signed digits: each input
@@ -290,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliFailure as failure:
         print(failure, file=sys.stderr)
         return failure.exit_code
+    except MemoryError:
+        print("error: out of memory; ask for fewer --digits", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

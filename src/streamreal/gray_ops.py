@@ -18,7 +18,11 @@ code was built from, so a chain of Gray operations runs as the chain of
 signed-digit ones with one conversion at each end; :func:`to_h` and
 :func:`to_g` are the from-SD conversion started in the other mode.  Only
 the conversions read Gray nodes; :func:`decode` reads the digits of the
-inverse conversion.
+inverse conversion.  Such an unforced code is counted by
+:func:`streamreal.kernel.with_force_count` through its head pull's
+``recount``, as the same view over its counted source, so a counted Gray
+input is read at signed-digit cost, and a Gray encode ticks inside the
+encoder.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import islice
 from typing import Iterator
 
 from . import sd_ops
-from .kernel import _FORCE_LOCK, GrayG, GrayH, GrayNode, SdStream, stream_from_digits
+from .kernel import _FORCE_LOCK, GrayG, GrayH, GrayNode, SdStream, _count_on, stream_from_digits
 
 _ONE = GrayG.cons(1, GrayG.constant(-1))
 
@@ -142,9 +146,10 @@ def from_sd(u: SdStream) -> GrayG:
 
 class _Source:
     """Pull of a code's head cell that keeps the signed-digit stream ``u``
-    it reads, for :func:`to_sd` to hand back.  Forced, it starts the
-    from-SD automaton in the mode ``cls`` and carries its first cell, so
-    the tail cells pull from the automaton, not from here."""
+    it reads, for :func:`to_sd` to hand back and for :meth:`recount` to
+    count.  Forced, it starts the from-SD automaton in the mode ``cls`` and
+    carries its first cell, so the tail cells pull from the automaton, not
+    from here."""
 
     __slots__ = ("u", "cls")
 
@@ -155,10 +160,12 @@ class _Source:
     def __call__(self):
         raise StopIteration(stream_from_digits(_from_sd(self.u, self.cls is GrayG), self.cls))
 
-    def view_of(self, u: SdStream) -> GrayNode:
-        """The same view, in the same mode, of ``u`` in place of its source:
-        how :func:`streamreal.kernel.with_force_count` counts a view."""
-        return _from_sd_in(self.cls, u)
+    def recount(self, counter) -> GrayNode:
+        """The same view, in the same mode, of its source read through
+        ``counter``: how :func:`streamreal.kernel.with_force_count` counts
+        an unforced view.  The source is counted as the counter counts any
+        stream, so a view of a fresh encode ticks inside the encoder."""
+        return _from_sd_in(self.cls, _count_on(self.u, counter))
 
 
 def _from_sd_in(cls: type, u: SdStream) -> GrayNode:

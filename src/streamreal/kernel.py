@@ -44,8 +44,14 @@ included, fails the cell for good: forcing it again raises
 The only generators that read Gray cells are the to-SD conversion and the
 force counter, and the counter only on a code that is not an unforced
 view: every Gray operation runs a signed-digit automaton between the
-conversions (:mod:`streamreal.gray_ops`), and :func:`with_force_count`
-counts an unforced view on its signed-digit source.
+conversions (:mod:`streamreal.gray_ops`).
+
+:func:`with_force_count` wraps no stream that can re-run its own recipe.
+An unforced head whose pull has a ``recount`` method -- a fresh
+``sd_ops.encode``, or an unforced Gray view -- is counted by that method,
+which re-runs the recipe with the counter: the encoder ticks once per digit
+it emits, and a view counts its signed-digit source the same way.  Only
+other streams are read through the cell-by-cell wrapper.
 """
 
 from __future__ import annotations
@@ -275,23 +281,31 @@ def _counted(counter: _ForceCount, cell: Cell) -> Iterator[Any]:
 
 
 def with_force_count(u: Cell) -> tuple[Cell, _ForceCount]:
-    """Wrap ``u`` so the returned counter tracks constructors forced on it.
+    """A stream of the symbols of ``u`` and a counter of the constructors
+    forced on it.
 
-    Works on both codings.  The wrapper behaves identically to ``u``; its
-    own cells are memoized, so re-reading a forced prefix does not inflate
-    the tally.  An unforced Gray view, a code whose head pull keeps the
-    signed-digit stream it converts (:mod:`streamreal.gray_ops`), is
-    counted on that stream instead and comes back as the same view over the
-    counted one: the view reads one digit per constructor it emits and
-    hands its source to ``to_sd``, so the tally is the same and a Gray op
-    reads the counted code at signed-digit cost.
+    Works on both codings.  The counted stream behaves identically to
+    ``u``; its cells are memoized, so re-reading a forced prefix does not
+    inflate the tally.  A stream that can re-run its own recipe is counted
+    by re-running it, and ``u`` stays unforced: an unforced head whose pull
+    has a ``recount`` method, a fresh ``sd_ops.encode`` or an unforced Gray
+    view, returns ``recount(counter)``.  The encoder then ticks once per
+    digit it emits, and a view comes back as the same view over its counted
+    signed-digit source, which it reads one digit per constructor and hands
+    to ``to_sd``.  Any other stream -- forced or partly read, an
+    operation's result, :func:`unfold_sd` -- is wrapped cell by cell.
     """
     counter = _ForceCount()
-    pull = u._pull
-    view_of = getattr(pull, "view_of", None)
-    if view_of is not None:
-        return view_of(stream_from_digits(_counted(counter, pull.u))), counter
-    return stream_from_digits(_counted(counter, u), type(u)), counter
+    return _count_on(u, counter), counter
+
+
+def _count_on(u: Cell, counter: _ForceCount) -> Cell:
+    """``u`` read through ``counter``, as :func:`with_force_count` makes it;
+    a view's ``recount`` counts its source here."""
+    recount = getattr(u._pull, "recount", None)
+    if recount is not None:
+        return recount(counter)
+    return stream_from_digits(_counted(counter, u), type(u))
 
 
 # Kept for perfbench/jobs.py, its last caller; ROADMAP item 1 retires it.

@@ -22,14 +22,54 @@ def encode(a: Fraction) -> SdStream:
     Emits +1 when the remainder is >= 1/4, -1 when it is <= -1/4 and the
     delay digit 0 otherwise, then recurses on ``2a - d``; the remainder stays
     in [-1, 1], so ``|decode(encode(a), n) - a| <= 2**-n`` for every n.
+    The head keeps ``a`` until it is forced, so
+    :func:`streamreal.kernel.with_force_count` counts a fresh encode by
+    encoding ``a`` again with the counter.
     """
     if not -1 <= a <= 1:
         raise ValueError("not-in-unit-interval")
-    return stream_from_digits(_encode(a.numerator, a.denominator))
+    return SdStream(_Encoder(a.numerator, a.denominator))
+
+
+class _Encoder:
+    """Pull of a fresh encode's head cell, keeping ``num/den``.  Forced, it
+    starts the encoder and carries its first cell, so the tail cells pull
+    from the generator, not from here."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int) -> None:
+        self.num = num
+        self.den = den
+
+    def __call__(self):
+        raise StopIteration(stream_from_digits(_encode(self.num, self.den)))
+
+    def recount(self, counter) -> SdStream:
+        """A fresh encode of the same rational that ticks ``counter`` once
+        per digit it emits: how :func:`streamreal.kernel.with_force_count`
+        counts an unforced encode."""
+        return stream_from_digits(_encode_counted(self.num, self.den, counter))
 
 
 def _encode(num: int, den: int) -> Iterator[int]:
     while True:
+        if 4 * num >= den:
+            yield 1
+            num = 2 * num - den
+        elif 4 * num <= -den:
+            yield -1
+            num = 2 * num + den
+        else:
+            yield 0
+            num = 2 * num
+
+
+def _encode_counted(num: int, den: int, counter) -> Iterator[int]:
+    """:func:`_encode` with one tick of ``counter.count`` per digit, kept
+    apart so an uncounted encode pays for no tick."""
+    while True:
+        counter.count += 1
         if 4 * num >= den:
             yield 1
             num = 2 * num - den

@@ -43,6 +43,7 @@ SURFACE = {
 PRIVATE_IMPORTS = {
     ("cli", "digits", "_is_decimal"),
     ("gray_ops", "kernel", "_FORCE_LOCK"),
+    ("gray_ops", "kernel", "_count_on"),
     ("sd_tower", "sd_ops", "_is_const"),
     ("sd_tower", "sd_ops", "_layer_step"),
 }
