@@ -18,11 +18,11 @@ code was built from, so a chain of Gray operations runs as the chain of
 signed-digit ones with one conversion at each end; :func:`to_h` and
 :func:`to_g` are the from-SD conversion started in the other mode.  Only
 the conversions read Gray nodes; :func:`decode` reads the digits of the
-inverse conversion.  Such an unforced code is counted by
-:func:`streamreal.kernel.with_force_count` through its head pull's
-``recount``, as the same view over its counted source, so a counted Gray
-input is read at signed-digit cost, and a Gray encode ticks inside the
-encoder.
+inverse conversion.  :func:`streamreal.kernel.with_force_count` counts
+a code that an operation built and nobody has forced yet by its head
+pull's ``recount``: the same view over its counted source, so a counted
+Gray input is read at signed-digit cost and a Gray encode ticks inside
+the encoder.
 """
 
 from __future__ import annotations

@@ -44,14 +44,10 @@ included, fails the cell for good: forcing it again raises
 The only generators that read Gray cells are the to-SD conversion and the
 force counter, and the counter only on a code that is not an unforced
 view: every Gray operation runs a signed-digit automaton between the
-conversions (:mod:`streamreal.gray_ops`).
-
-:func:`with_force_count` wraps no stream that can re-run its own recipe.
-An unforced head whose pull has a ``recount`` method -- a fresh
-``sd_ops.encode``, or an unforced Gray view -- is counted by that method,
-which re-runs the recipe with the counter: the encoder ticks once per digit
-it emits, and a view counts its signed-digit source the same way.  Only
-other streams are read through the cell-by-cell wrapper.
+conversions (:mod:`streamreal.gray_ops`).  :func:`with_force_count` wraps
+no stream that can re-run its own recipe: an unforced head whose pull has
+a ``recount`` method, a fresh ``sd_ops.encode`` or an unforced Gray view,
+is counted by re-running the recipe with the counter.
 """
 
 from __future__ import annotations

@@ -88,9 +88,9 @@ class _Tally:
 
 def reference_with_force_count(u: Cell) -> tuple[Cell, _Tally]:
     """The force counter as a wrapper cell by cell over ``u``, in the class
-    of ``u``: on a Gray code it counts the Gray nodes, where
-    ``kernel.with_force_count`` counts an unforced view on its signed-digit
-    source."""
+    of ``u``: it reads the cells of ``u`` and, on a Gray code, counts the
+    Gray nodes, where ``kernel.with_force_count`` re-runs a fresh encode
+    or an unforced view with the counter and leaves ``u`` unforced."""
     counter = _Tally()
 
     def counted(cell: Cell) -> Iterator:

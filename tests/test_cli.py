@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,8 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamreal import sd_ops
+from streamreal import cli, sd_ops
 from streamreal.cli import gray_to_text, main, report_line, sd_to_text
 from tests.support import text_to_gray, text_to_sd, within
 
@@ -318,6 +322,84 @@ def test_run_report_omits_missing_counts():
     line = report_line(3, [], 0.5, Fraction(0), Fraction(0))
     assert "u-forced" not in line and "v-forced" not in line
     assert "v-forced" not in report_line(3, [2], 0.5, Fraction(0), Fraction(0))
+
+
+# --- out of memory and argv fuzz ----------------------------------------------
+
+@pytest.mark.parametrize("argv, target", [
+    (["encode", "1/3", "--digits", "8"], "_prefix"),
+    (["op", "avg", "1/3", "-1/5", "--stats", "--code", "gray"], "_prefix"),
+    (["div", "1/4", "1/2", "--stats"], "_prefix"),
+    (["bench", "--digits", "10,20"], "_time_division"),
+])
+def test_a_command_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, argv, target):
+    # the error is injected where the run allocates, never provoked
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: out of memory; ask for fewer --digits\n")
+
+
+# half the draws well-formed, half anything the parsers must turn away
+RATIONALS = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6).map(str),
+    st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=10**6).map(str),
+        st.sampled_from(["1/0", "half", "\u22121/3", "\u2212 1/3", "1 /2", "+1/2", "-", "", "1/-2", "\u0663/4",
+                         "1/\u00b2"]),
+        st.tuples(st.sampled_from("137"), st.integers(1, 4400)).map(lambda t: "1/" + t[0] * t[1]),
+    ),
+)
+DIGIT_COUNTS = st.one_of(
+    st.integers(1, 64).map(str),
+    st.one_of(st.integers(-3, 0).map(str),
+              st.sampled_from(["", "\u0661\u0660", "1_0", "+10", " 10", "\u00b2", "6x", "-\u0661"])),
+)
+DIGIT_LISTS = st.one_of(
+    st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True).map(lambda counts: ",".join(map(str, sorted(counts)))),
+    st.one_of(st.lists(st.integers(-3, 64), min_size=1, max_size=3).map(lambda counts: ",".join(map(str, counts))),
+              DIGIT_COUNTS),
+)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """Mostly well-formed commands, some with a wrong value, flag, count or
+    order, all over the CLI's own vocabulary."""
+    command = draw(st.sampled_from(["encode", "op", "div", "bench", "root", ""]))
+    argv = [command] if command else []
+    if command == "op":
+        argv.append(draw(st.sampled_from([*cli._OPS, "sqrt"])))
+    if command in ("encode", "op", "div"):
+        arity = 2 if command == "div" or argv[-1] == "avg" else 1
+        count = arity if draw(st.integers(0, 3)) else draw(st.integers(0, 3))
+        argv += [draw(RATIONALS) for _ in range(count)]
+    for flag in draw(st.lists(st.sampled_from(["--digits", "--code", "--stats"]), max_size=3, unique=True)):
+        argv.append(flag)
+        if flag == "--digits":
+            argv.append(draw(DIGIT_LISTS if command == "bench" else DIGIT_COUNTS))
+        elif flag == "--code":
+            argv.append(draw(st.sampled_from(["sd", "gray", "hex"])))
+    if not draw(st.integers(0, 3)):
+        argv = draw(st.permutations(argv))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+def test_any_argv_exits_0_2_or_3_without_a_traceback(argv):
+    # digit counts stay at or below 64, and bench times each count once
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        patch.setattr(cli, "_BENCH_MIN_SECONDS", 1e-9)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # --- package ------------------------------------------------------------------

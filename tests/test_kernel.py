@@ -22,7 +22,15 @@ from streamreal.kernel import (
     unfold_sd,
     with_force_count,
 )
-from tests.support import sd, tail_at, unit_fraction, within
+from tests.support import (
+    division_pair,
+    reference_with_force_count,
+    sd,
+    tail_at,
+    unit_fraction,
+    walk,
+    within,
+)
 
 
 def test_unfold_constant():
@@ -258,6 +266,90 @@ def test_gray_counter():
     assert counter.count == 6
 
 
+# --- counted fresh encodes ---------------------------------------------------
+
+OPS = {"sd": (sd_ops, take_prefix), "gray": (gray_ops, take_gray_prefix)}
+# op name -> seeded inputs within the op's preconditions
+COUNTED_OPS = {
+    "negate": lambda rng: [unit_fraction(rng)],
+    "half": lambda rng: [unit_fraction(rng)],
+    "double": lambda rng: [unit_fraction(rng) / 2],
+    "add_one": lambda rng: [-abs(unit_fraction(rng))],
+    "sub_one": lambda rng: [abs(unit_fraction(rng))],
+    "average": lambda rng: [unit_fraction(rng), unit_fraction(rng)],
+    "twice_minus": lambda rng: (lambda x, y: [abs(x), y])(*division_pair(rng)),
+    "twice_plus": lambda rng: (lambda x, y: [-abs(x), y])(*division_pair(rng)),
+    "divide": lambda rng: list(division_pair(rng)),
+}
+
+
+@pytest.mark.parametrize("code", sorted(OPS))
+@pytest.mark.parametrize("name", list(COUNTED_OPS))
+def test_counted_fresh_encodes_read_as_the_wrapper_over_their_cells(code, name):
+    # with_force_count re-runs a fresh encode with the counter; every output
+    # cell class, symbol and per-step count is the one that the wrapper
+    # over the encode's own cells gives
+    ops, _ = OPS[code]
+    op = getattr(ops, name)
+    rng = random.Random(f"{code} {name}")
+    for _ in range(25):
+        values = COUNTED_OPS[name](rng)
+        assert (walk(op, [ops.encode(a) for a in values], 40)
+                == walk(op, [ops.encode(a) for a in values], 40, reference_with_force_count))
+
+
+@pytest.mark.parametrize("code", sorted(OPS))
+def test_a_counted_fresh_encode_leaves_the_encode_unforced(code):
+    ops, take = OPS[code]
+    rng = random.Random(211)
+    for _ in range(50):
+        a = unit_fraction(rng)
+        x = ops.encode(a)
+        expected = take(ops.encode(a), 30)
+        counted, counter = with_force_count(x)
+        assert type(counted) is type(x)
+        assert take(counted, 30) == expected and counter.count == 30
+        # neither the encode nor, in Gray, the signed digits it views were read
+        assert x._pull is not None
+        if code == "gray":
+            assert gray_ops.to_sd(x)._pull is not None
+        assert take(x, 30) == expected and counter.count == 30
+
+
+def _forced_cells(u: Cell, n: int) -> bool:
+    """The first ``n`` cells of ``u`` are forced; reads no unforced cell."""
+    for _ in range(n):
+        if u._pull is not None:
+            return False
+        u = u.tail
+    return True
+
+
+@pytest.mark.parametrize("code", sorted(OPS))
+def test_a_forced_or_partly_read_encode_is_counted_through_the_wrapper(code):
+    # no recipe to re-run: the counted stream reads the cells of the stream
+    # it was given, and a Gray view of such a stream reads them through its
+    # source
+    ops, take = OPS[code]
+    rng = random.Random(223)
+    for _ in range(50):
+        a = unit_fraction(rng)
+        expected = take(tail_at(ops.encode(a), 3), 20)
+        forced = ops.encode(a).force()
+        partly_read = tail_at(ops.encode(a), 3)
+        assert _forced_cells(forced, 1) and partly_read._pull is not None
+        for x, skip in ((forced, 3), (partly_read, 0)):
+            counted, counter = with_force_count(x)
+            assert take(tail_at(counted, skip), 20) == expected and counter.count == skip + 20
+            assert _forced_cells(x, skip + 20)
+        if code == "gray":
+            source = sd_ops.encode(a).force()
+            view = gray_ops.from_sd(source)
+            counted, counter = with_force_count(view)
+            assert take(counted, 20) == take(ops.encode(a), 20)
+            assert counter.count == 20 and view._pull is not None and _forced_cells(source, 20)
+
+
 @pytest.mark.parametrize("code, depth", [("sd", 400), ("gray", 400)])
 def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
@@ -411,6 +503,9 @@ INTERRUPTED_READS = {
                                                 sd_ops.negate(sd_ops.encode(F(-2, 7))))), take_prefix),
     "gray": (lambda: gray_ops.to_h(gray_ops.average(gray_ops.encode(F(1, 3)), gray_ops.encode(F(-2, 7)))),
              take_gray_prefix),
+    # the division over two counted fresh encodes, as div --stats runs it
+    "sd counted division": (lambda: sd_ops.divide(*[with_force_count(sd_ops.encode(a))[0]
+                                                    for a in (F(1001, 3001), F(10001, 20001))]), take_prefix),
 }
 
 
