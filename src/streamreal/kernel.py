@@ -23,20 +23,24 @@ Both codings are chains of one cell class, :class:`Cell`, a pair
   ``x_h/2``.
 
 Every automaton over these cells is a Python generator that takes its input
-cells as arguments and yields one output symbol per step.  One driver,
-:meth:`Cell.force` with its unlocked body :meth:`Cell._force`, runs them
-all: an unforced cell holds the generator's ``__next__`` as its *pull*
+cells as arguments and yields one output symbol per step.  Two drivers,
+one per coding, run them all through :meth:`Cell.force`: its unlocked body
+:meth:`Cell._force` for signed digits and :meth:`GrayNode._force` for Gray
+nodes.  An unforced cell holds the generator's ``__next__`` as its *pull*
 (:func:`stream_from_digits`), and forcing the cell resumes it once, sets
 ``head`` to the symbol and makes ``tail`` a new cell with the same pull,
-of the class the mode asks for: ``SdStream`` for a digit, ``GrayG`` after
-a sign and ``GrayH`` after a delay.  That tail is made by
-``object.__new__`` and one store of its pull, without ``__init__``, so a
-subclass of :class:`Cell` must not rely on ``__init__`` for its tail
-cells.  A generator ends its stream in one way only, by returning a cell,
-which its ``StopIteration`` carries: the cell being forced forces that
-cell and takes its head and tail, and the stream goes on as the returned
-one, which may be an input the generator has not read.  A generator drops each input cell
-once it has moved past it, so the forced prefix of an input is garbage as
+of the class the mode asks for: the cell's own class for a digit,
+``GrayG`` after a sign and ``GrayH`` after a delay.  The drivers are
+separate code on purpose: CPython keys each attribute cache of a code
+object on the receiver's type, so one driver shared by both codings misses
+wherever they interleave.  A tail is made by ``object.__new__`` and one
+store of its pull, without ``__init__``, so a subclass of :class:`Cell`
+must not rely on ``__init__`` for its tail cells.  A generator ends its
+stream in one way only, by returning a cell, which its ``StopIteration``
+carries: the cell being forced forces that cell and takes its head and
+tail, and the stream goes on as the returned one, which may be an input
+the generator has not read.  A generator drops each input cell once it
+has moved past it, so the forced prefix of an input is garbage as
 soon as every reader has moved on: memory grows with the live frontier, not
 the history.  Any other exception that leaves a force, an interrupt
 included, fails the cell for good: forcing it again raises
@@ -66,13 +70,16 @@ class Cell:
     reading) and holds a *pull* instead: a callable, normally a generator's
     ``__next__``, that returns the cell's symbol or raises
     ``StopIteration(cell)`` to say the stream goes on as ``cell``.
+
+    The tail of a forced cell is of the cell's own class, so a subclass of
+    :class:`SdStream` gets tails of that subclass, except on a Gray node,
+    whose tail is ``GrayH`` after a delay and ``GrayG`` after a sign; a
+    cell that splices onto a carried cell takes that cell's tail.
     """
 
     __slots__ = ("head", "tail", "_pull")
     head: Any
     tail: Any
-    # The class of a forced cell's tail, indexed by ``head is None``.
-    _tail_classes: tuple
 
     def __init__(self, pull: Callable[[], Any]):
         self._pull = pull
@@ -115,12 +122,13 @@ class Cell:
         generators of this package read their inputs through it, and each
         read entry point takes the lock once for its whole walk.
 
-        It is the only code that resumes a pull.  A symbol becomes
-        ``head``, and ``tail`` a new cell of the class its mode asks for,
-        pulling from the same source; the tail is made by
-        ``object.__new__`` and one store, without ``__init__``.  A carried
-        cell is forced here and lends its ``head`` and ``tail``; a pull
-        that has already raised carries none, and its stream cannot go on.
+        It and :meth:`GrayNode._force`, the same driver with Gray tails,
+        are the only code that resumes a pull.  A symbol becomes ``head``,
+        and ``tail`` a new cell of the class of ``self``, pulling from the
+        same source; the tail is made by ``object.__new__`` and one store,
+        without ``__init__``.  A carried cell is forced here and lends its
+        ``head`` and ``tail``; a pull that has already raised carries
+        none, and its stream cannot go on.
 
         Any other exception that leaves here, an interrupt included,
         replaces the pull with one that fails: a symbol that ``pull()``
@@ -133,14 +141,11 @@ class Cell:
                 try:
                     head = pull()
                 except StopIteration as stop:
-                    cell = stop.value
-                    if cell is None:
-                        raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
-                    cell = cell._force()
+                    cell = _carried(stop)._force()
                     head = cell.head
                     tail = cell.tail
                 else:
-                    tail = _new(self._tail_classes[head is None])
+                    tail = _new(type(self))
                     tail._pull = pull
                 self.head = head
                 self.tail = tail
@@ -163,13 +168,20 @@ _new = object.__new__
 _FAILED_PULL = iter(()).__next__
 
 
+def _carried(stop: StopIteration) -> Cell:
+    """The cell a pull's ``StopIteration`` carries, for a driver to splice
+    onto; it returns before the driver forces the cell, so a splice costs
+    no frame beyond the driver's."""
+    cell = stop.value
+    if cell is None:
+        raise RuntimeError("stream failed earlier: its generator raised and cannot resume")
+    return cell
+
+
 class SdStream(Cell):
     """One cell of a lazy stream of signed digits."""
 
     __slots__ = ()
-
-
-SdStream._tail_classes = (SdStream, SdStream)
 
 
 class GrayNode(Cell):
@@ -177,6 +189,29 @@ class GrayNode(Cell):
 
     __slots__ = ()
     is_g: bool
+
+    def _force(self) -> "GrayNode":
+        """:meth:`Cell._force` for Gray nodes, with the same contract: the
+        tail is ``GrayH`` after a delay and ``GrayG`` after a sign."""
+        pull = self._pull
+        if pull is not None:
+            try:
+                try:
+                    head = pull()
+                except StopIteration as stop:
+                    cell = _carried(stop)._force()
+                    head = cell.head
+                    tail = cell.tail
+                else:
+                    tail = _new(GrayH if head is None else GrayG)
+                    tail._pull = pull
+                self.head = head
+                self.tail = tail
+                self._pull = None
+            except BaseException:
+                self._pull = _FAILED_PULL
+                raise
+        return self
 
 
 class GrayG(GrayNode):
@@ -191,9 +226,6 @@ class GrayH(GrayNode):
 
     __slots__ = ()
     is_g = False
-
-
-GrayNode._tail_classes = (GrayG, GrayH)
 
 
 def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:

@@ -15,6 +15,8 @@ from streamreal import gray_ops, sd_ops, sd_tower
 from streamreal.kernel import (
     Cell,
     GrayG,
+    GrayH,
+    GrayNode,
     SdStream,
     stream_from_digits,
     take_gray_prefix,
@@ -68,6 +70,42 @@ def test_gray_generator_ends_by_returning_the_node_it_splices_onto():
     assert take_gray_prefix(g, 4) == [("g", None), ("h", 1)] + take_gray_prefix(rest, 2)
     assert counter.count == 2
     assert tail_at(g, 3) is tail_at(rest, 1)
+
+
+def _chain_classes(u: Cell, n: int) -> list[type]:
+    """The classes of the first ``n`` cells of the chain from ``u``, which
+    forces the first ``n - 1``."""
+    classes = [type(u)]
+    for _ in range(n - 1):
+        u = u.force().tail
+        classes.append(type(u))
+    return classes
+
+
+def test_a_tail_is_of_its_cell_class_or_of_the_gray_mode_its_symbol_asks_for():
+    class Digits(SdStream):
+        __slots__ = ()
+
+    # a hand pull: tails of the cell's own class, a subclass's included
+    for cls in (SdStream, Digits):
+        assert _chain_classes(cls(iter([1, 0, -1, 1]).__next__), 4) == [cls] * 4
+    # a Gray pull in either mode: GrayH after a delay, GrayG after a sign
+    for mode in (GrayG, GrayH):
+        node = mode(iter([None, 1, None, -1, 1]).__next__)
+        assert _chain_classes(node, 6) == [mode, GrayH, GrayG, GrayH, GrayG, GrayG]
+
+    # a splice: the cell keeps its class and takes the carried cell's tail
+    def digits():
+        yield 1
+        return Digits(iter([0, 1]).__next__)
+
+    assert _chain_classes(SdStream(digits().__next__), 4) == [SdStream, SdStream, Digits, Digits]
+
+    def signs():
+        yield 1
+        return GrayG(iter([None, 1]).__next__)
+
+    assert _chain_classes(GrayH(signs().__next__), 4) == [GrayH, GrayG, GrayH, GrayG]
 
 
 def test_unfold_average_seed_decodes_midpoint():
@@ -458,29 +496,32 @@ class _Interrupt(BaseException):
     """Stands in for ``KeyboardInterrupt``: raised where no code expects it."""
 
 
-def _interrupted(code, k: int, read) -> bool:
+def _interrupted(codes, k: int, read):
     """Run ``read()`` with an :class:`_Interrupt` raised at the ``k``-th line
-    event of the frames running ``code``; whether it was raised.  Python
-    turns tracing off when a trace function raises, so it is raised once."""
+    event of the frames running any code in ``codes``; the code it was
+    raised in, or None if it was not.  Python turns tracing off when a
+    trace function raises, so it is raised once."""
     seen = 0
+    raised_in = None
 
     def line(frame, event, arg):
-        nonlocal seen
+        nonlocal seen, raised_in
         if event == "line":
             seen += 1
             if seen == k:
+                raised_in = frame.f_code
                 raise _Interrupt
         return line
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: line if frame.f_code in codes else None)
     try:
         read()
     except _Interrupt:
-        return True
+        return raised_in
     finally:
         sys.settrace(previous)
-    return False
+    return None
 
 
 def _reread(take, x, n: int, expected: list) -> bool:
@@ -496,33 +537,46 @@ def _reread(take, x, n: int, expected: list) -> bool:
 
 
 F = Fraction
+# (build, take, the drivers the read runs)
 INTERRUPTED_READS = {
     # generator layers, a splice and, in Gray, the view's pull, started in
     # mode H by to_h
     "sd": (lambda: sd_ops.negate(sd_ops.average(sd_ops.double(sd_ops.half(sd_ops.encode(F(1, 3)))),
-                                                sd_ops.negate(sd_ops.encode(F(-2, 7))))), take_prefix),
+                                                sd_ops.negate(sd_ops.encode(F(-2, 7))))), take_prefix,
+           (Cell._force,)),
     "gray": (lambda: gray_ops.to_h(gray_ops.average(gray_ops.encode(F(1, 3)), gray_ops.encode(F(-2, 7)))),
-             take_gray_prefix),
+             take_gray_prefix, (Cell._force, GrayNode._force)),
     # the division over two counted fresh encodes, as div --stats runs it
     "sd counted division": (lambda: sd_ops.divide(*[with_force_count(sd_ops.encode(a))[0]
-                                                    for a in (F(1001, 3001), F(10001, 20001))]), take_prefix),
+                                                    for a in (F(1001, 3001), F(10001, 20001))]), take_prefix,
+                            (Cell._force,)),
 }
 
 
-@pytest.mark.parametrize("code", sorted(INTERRUPTED_READS))
-def test_an_interrupt_at_any_line_of_a_force_never_yields_a_wrong_symbol(code):
-    build, take = INTERRUPTED_READS[code]
+@pytest.mark.parametrize("read", sorted(INTERRUPTED_READS))
+def test_an_interrupt_at_any_line_of_a_force_never_yields_a_wrong_symbol(read):
+    # The drivers a read runs are traced in one sweep: in the Gray read
+    # every signed-digit force runs inside a Gray node's force, which an
+    # interrupt there fails, so only the Gray driver's own lines outside
+    # its try leave a stream that reads again.
+    build, take, drivers = INTERRUPTED_READS[read]
+    codes = {driver.__code__ for driver in drivers}
     n = 20
     expected = take(build(), n)
     k = right = 0
+    tried = dict.fromkeys(codes, 0)
     while True:
         k += 1
         x = build()
-        if not _interrupted(Cell._force.__code__, k, lambda: take(x, n)):
+        code = _interrupted(codes, k, lambda: take(x, n))
+        if code is None:
             break
+        tried[code] += 1
         right += _reread(take, x, n, expected)
-    # every line event of every force of the read was tried
+    # every line event of every force of the read was tried, in each driver
+    # it runs, n forced cells at least
     assert k > 500 and 0 < right < k
+    assert min(tried.values()) > 5 * n, tried
 
 
 DIVISIONS = [(F(1001, 3001), F(10001, 20001)), (F(-1, 3), F(1)), (F(1), F(63, 64))]
@@ -557,7 +611,7 @@ def test_an_interrupt_at_any_line_of_intern_leaves_the_tower_tables_whole(monkey
         k += 1
         monkeypatch.setattr(sd_tower, "_LAYERS", sd_tower._Layers())
         q = _quotient(*DIVISIONS[i])
-        if not _interrupted(function.__code__, k, lambda: take_prefix(q, n)):
+        if not _interrupted({function.__code__}, k, lambda: take_prefix(q, n)):
             break
         _reread(take_prefix, q, n, expected[i])
         assert [take_prefix(_quotient(x, y), n) for x, y in DIVISIONS] == expected, k
