@@ -72,40 +72,33 @@ def test_gray_generator_ends_by_returning_the_node_it_splices_onto():
     assert tail_at(g, 3) is tail_at(rest, 1)
 
 
-def _chain_classes(u: Cell, n: int) -> list[type]:
-    """The classes of the first ``n`` cells of the chain from ``u``, which
-    forces the first ``n - 1``."""
-    classes = [type(u)]
-    for _ in range(n - 1):
-        u = u.force().tail
-        classes.append(type(u))
-    return classes
-
-
 def test_a_tail_is_of_its_cell_class_or_of_the_gray_mode_its_symbol_asks_for():
+    def classes(u: Cell, n: int) -> list[type]:
+        return [type(tail_at(u, i)) for i in range(n)]
+
     class Digits(SdStream):
         __slots__ = ()
 
     # a hand pull: tails of the cell's own class, a subclass's included
     for cls in (SdStream, Digits):
-        assert _chain_classes(cls(iter([1, 0, -1, 1]).__next__), 4) == [cls] * 4
+        assert classes(cls(iter([1, 0, -1, 1]).__next__), 4) == [cls] * 4
     # a Gray pull in either mode: GrayH after a delay, GrayG after a sign
     for mode in (GrayG, GrayH):
         node = mode(iter([None, 1, None, -1, 1]).__next__)
-        assert _chain_classes(node, 6) == [mode, GrayH, GrayG, GrayH, GrayG, GrayG]
+        assert classes(node, 6) == [mode, GrayH, GrayG, GrayH, GrayG, GrayG]
 
     # a splice: the cell keeps its class and takes the carried cell's tail
     def digits():
         yield 1
         return Digits(iter([0, 1]).__next__)
 
-    assert _chain_classes(SdStream(digits().__next__), 4) == [SdStream, SdStream, Digits, Digits]
+    assert classes(SdStream(digits().__next__), 4) == [SdStream, SdStream, Digits, Digits]
 
     def signs():
         yield 1
         return GrayG(iter([None, 1]).__next__)
 
-    assert _chain_classes(GrayH(signs().__next__), 4) == [GrayH, GrayG, GrayH, GrayG]
+    assert classes(GrayH(signs().__next__), 4) == [GrayH, GrayG, GrayH, GrayG]
 
 
 def test_unfold_average_seed_decodes_midpoint():

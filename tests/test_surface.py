@@ -93,7 +93,7 @@ def test_private_imports_between_modules_are_the_committed_set():
 
 
 # Functions that call ``._force()`` outside ``with _FORCE_LOCK`` and are not
-# generators: the driver, which forces a carried cell under its caller's
+# generators: the drivers, which force a carried cell under their caller's
 # lock, and code that only a pull runs.  (module, qualified name)
 UNLOCKED_FORCERS = {
     ("kernel", "Cell._force"),
