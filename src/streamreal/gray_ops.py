@@ -34,17 +34,6 @@ from typing import Iterator
 from . import sd_ops
 from .kernel import _FORCE_LOCK, GrayG, GrayH, GrayNode, SdStream, _count_on, stream_from_digits
 
-_ONE = GrayG.cons(1, GrayG.constant(-1))
-
-
-def one() -> GrayG:
-    """The Gray code of the constant 1.
-
-    Public though no op calls it: it is the paper's constant stream, and
-    the equations of :func:`add_one` splice onto it.
-    """
-    return _ONE
-
 
 def encode(a: Fraction) -> GrayG:
     """Canonical Gray code of a rational in [-1, 1] (via the digit encoder)."""

@@ -89,15 +89,6 @@ def decode(u: SdStream, n: int) -> Fraction:
     return Fraction(acc, 1 << n)
 
 
-def one() -> SdStream:
-    """The constant stream of +1, denoting 1.
-
-    Public though no op calls it: it is the paper's constant stream, and
-    the equations of :func:`add_one` splice onto it.
-    """
-    return _ONE
-
-
 def negate(u: SdStream) -> SdStream:
     """Digitwise negation; denotes ``-x``."""
     return stream_from_digits(_negate(u))
@@ -118,9 +109,10 @@ def half(u: SdStream) -> SdStream:
 def add_one(u: SdStream) -> SdStream:
     """Denotes ``x + 1`` for ``x <= 0``.
 
-    Digit equations: ``add_one(+1::u) = one()``, ``add_one(0::u) =
-    +1::add_one(u)``, ``add_one(-1::u) = +1::u``.  The first and the last
-    splice: the result shares the constant stream or ``u``.
+    Digit equations: ``add_one(+1::u) = 1``, the constant stream of +1,
+    ``add_one(0::u) = +1::add_one(u)``, ``add_one(-1::u) = +1::u``.  The
+    first and the last splice: the result shares the constant stream or
+    ``u``.
     """
     return stream_from_digits(_double(u, ("add", 1)))
 
@@ -164,29 +156,12 @@ def average(u: SdStream, v: SdStream) -> SdStream:
     ``k = 2i + a' + b' in [-6, 6]``, emits +1 / -1 / 0 as k >= 2 / k <= -2 /
     else, and keeps carry ``k - 4d``.  The pending value is always
     ``(i + x' + y')/4``, which stays in [-1, 1].  This is
-    :func:`_average_step`, which the numerator layers step too; after the
-    first digit pair the generator steps the carry by one lookup in
-    ``_CARRY_STEPS``, the 13-entry table of it indexed by ``k``.
+    :func:`_average_step`.  It runs as the average phase of :func:`_layer`,
+    a layer of kind -1 whose doubles copy: after the first digit pair each
+    digit is one lookup in ``_CARRY_STEPS``, the 13-entry table of the step
+    indexed by ``k``.
     """
-    return stream_from_digits(_average(u, v))
-
-
-def _average(u: SdStream, v: SdStream) -> Iterator[int]:
-    """Digits of the average: the first digit pair sets the carry, and each
-    later pair steps it by one lookup in ``_CARRY_STEPS``."""
-    u = u._force()
-    v = v._force()
-    carry, _ = _average_step(None, u.head, v.head)
-    base = 2 * carry + 6
-    u = u.tail
-    v = v.tail
-    while True:
-        u = u._force()
-        v = v._force()
-        base, d = _CARRY_STEPS[base + u.head + v.head]
-        u = u.tail
-        v = v.tail
-        yield d
+    return stream_from_digits(_layer(u, v, (-1, None, "copy", "copy")))
 
 
 def twice_minus(u: SdStream, v: SdStream) -> SdStream:
@@ -194,28 +169,26 @@ def twice_minus(u: SdStream, v: SdStream) -> SdStream:
 
     The stream ``double(double(average(u, half(negate(v)))))``: the average
     argument is ``(2x - y)/4``, which has magnitude <= 1/4, so both
-    doublings stay in range.  It runs as one automaton (:func:`_twice`),
-    the numerator layer :func:`_layer_step` of kind +1 that the division's
-    tower steps.
+    doublings stay in range.  It runs as :func:`_layer` from the start
+    state of the numerator layer of kind +1, whose automaton
+    :func:`_layer_step` the division's tower tabulates.
     """
-    return stream_from_digits(_twice(u, v, 1))
+    return stream_from_digits(_layer(u, half(v), _LAYER_STARTS[1]))
 
 
 def twice_plus(u: SdStream, v: SdStream) -> SdStream:
     """Denotes ``2x + y`` under ``1/4 <= y``, ``-y <= x <= 0``: the stream
     ``double(double(average(u, half(v))))``, run as the layer of kind -1."""
-    return stream_from_digits(_twice(u, v, -1))
+    return stream_from_digits(_layer(u, half(v), _LAYER_STARTS[-1]))
 
 
-def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
-    """Digits of ``2x - kind*y`` by :func:`_layer_step`, reading ``u`` and
-    ``half(v)`` as the stream ``double(double(average(u, half(-+v))))``
-    does, and splicing as it does onto the constant once the outer double
-    turns constant."""
-    w = half(v)
-    del v  # w reads on from here; v would keep every digit read
-    state = (kind, None, "dispatch", "dispatch")
-    while not state[2] == state[3] == "copy":
+def _layer(u: SdStream, w: SdStream, state: tuple) -> Iterator[int]:
+    """Digits of the numerator layer from ``state`` over ``u`` and its y/2
+    ``w`` by :func:`_layer_step`, read and spliced onto a constant as the
+    stream ``double(double(average(u, -+w)))`` does.  Once the average has
+    its carry and both doubles copy, the layer is its average, and each
+    digit pair steps the carry by one lookup in ``_CARRY_STEPS``."""
+    while state[1] is None or not state[2] == state[3] == "copy":
         u = u._force()
         w = w._force()
         state, x = _layer_step(state, u.head, w.head)
@@ -231,9 +204,8 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
         if _is_const(state[3]):
             return SdStream.constant(x)
         yield x
-    # Both doubles copy: the layer is its average, and only the carry changes.
     base = 2 * state[1] + 6
-    sign = -kind
+    sign = -state[0]
     while True:
         u = u._force()
         w = w._force()
@@ -244,8 +216,9 @@ def _twice(u: SdStream, v: SdStream, kind: int) -> Iterator[int]:
 
 
 # The one-digit step functions of the automata above and of the numerator
-# layer built from them: the only copy, which the generators above run and
-# the division's tower (:mod:`streamreal.sd_tower`) tabulates.
+# layer built from them, with the layer's start states, y/2 reads and
+# canonical form: the only copy, which the generators above run and the
+# division's tower (:mod:`streamreal.sd_tower`) tabulates over opaque states.
 
 def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
     """One digit pair through the carry automaton of :func:`average`."""
@@ -300,7 +273,8 @@ def _layer_step(state: tuple, a: int, h: int) -> tuple[tuple, int | None]:
     ``kind != 0`` the stages are the average's carry (``None`` before the
     first pair) and the inner and outer double; for ``kind == 0`` they are
     two one-digit holds and the double, so that every layer emits digit i
-    after reading digit i + 3 below.
+    after reading digit i + 3 below.  A layer of each kind starts from
+    ``_LAYER_STARTS[kind]``.
     """
     kind, s0, s1, s2 = state
     x: int | None
@@ -321,6 +295,32 @@ def _layer_step(state: tuple, a: int, h: int) -> tuple[tuple, int | None]:
     return (kind, s0, s1, s2), x
 
 
+# indexed by kind: 0, 1, -1
+_LAYER_STARTS = ((0, None, None, "dispatch"), (1, None, "dispatch", "dispatch"),
+                 (-1, None, "dispatch", "dispatch"))
+
+
+def _reads_y(state: tuple) -> int:
+    """How the layer ``state`` reads y/2: 0 not at all (kind 0, or spliced
+    onto a constant), 1 digit by digit while an ``("add", e)`` double may
+    still splice, 2 every digit (both doubles copy, so the layer is a plain
+    average from then on)."""
+    kind, _, s1, s2 = state
+    return 0 if not kind or _is_const(s1) or _is_const(s2) else 2 if s1 == s2 == "copy" else 1
+
+
+def _canonical(state: tuple) -> tuple:
+    """``state`` with the stages below a constant forgotten: once the outer
+    double is constant the layer is that constant, and once the inner one
+    is the carry is read no more, so states that step alike are equal."""
+    kind, _, s1, s2 = state
+    if _is_const(s2):
+        return (0, None, None, s2)
+    if kind and _is_const(s1):
+        return (kind, None, s1, s2)
+    return state
+
+
 def divide(u: SdStream, v: SdStream) -> SdStream:
     """Denotes ``x/y`` under ``1/4 <= y`` and ``|x| <= y``.
 
@@ -335,17 +335,16 @@ def divide(u: SdStream, v: SdStream) -> SdStream:
     :func:`twice_plus` and :func:`double` build, but no layer is a stream:
     each is one interned state of :func:`_layer_step`, the automaton that
     runs :func:`twice_minus` and :func:`twice_plus`, held as the row of its
-    memoized transitions.  Every output digit reads three digits of ``u``
-    and passes them up the tower as one 3-digit code, one lookup in each
-    layer's row, and takes its digit from the top layer's code.  Layer j
-    reads ``y/2`` at a position fixed by j and the step until its automata
-    splice onto a constant, and a digit of ``v`` is forced when the first
-    layer reads it, so both inputs are forced exactly as far as a tower of
-    memoized streams would force them.
+    memoized transitions.  The tower keeps the states opaque: their start
+    states, y/2 reads and canonical form are defined here, by the step.
+    Every output digit reads three digits of ``u`` and passes them up the
+    tower as one 3-digit code, one lookup in each layer's row, and takes its
+    digit from the top layer's code.  Layer j reads ``y/2`` at a position
+    fixed by j and the step until its automata splice onto a constant, and
+    a digit of ``v`` is forced when the first layer reads it, so both inputs
+    are forced exactly as far as a tower of memoized streams would force
+    them.
     """
     from .sd_tower import quotient_digits  # loaded by the first division, not the package
 
     return stream_from_digits(quotient_digits(u, v))
-
-
-_ONE = SdStream.constant(1)

@@ -6,14 +6,16 @@ this module on its first call.  Numerator layer j + 1 of the division is
 each layer is one interned state of the layer automaton
 :func:`streamreal.sd_ops._layer_step`, the one that runs
 ``sd_ops.twice_minus`` and ``twice_plus``, whose transitions are memoized
-in nested rows that fill on first use.
+in nested rows that fill on first use.  The states are opaque here:
+``sd_ops`` owns their format, their start states, how each reads y/2 and
+the canonical form they are interned under.
 
 The layer loop holds each layer as the row of its state, so that one layer
 step is three subscripts of small ints: ``row[code][h]`` is the next row and
 the code the layer emits, where ``code`` is the 3-digit code the layer below
 passes up and ``h`` the code of the chunk of y/2 that the layer reads, both
 plain codes in 0..26, not scaled.  A row holds its state after its 27
-lists, then how that state reads y/2, :func:`_reads_y`, and then the 27
+lists, then how that state reads y/2, ``sd_ops._reads_y``, and then the 27
 entries that lead into it, one for each code emitted.  A new layer takes the
 same step from the start row of its kind, the row of its unprimed state.
 y/2 is read from the memoized cells of ``half(v)``.  A first layer whose
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .kernel import SdStream
-from .sd_ops import _is_const, _layer_step, half
+from .sd_ops import _LAYER_STARTS, _canonical, _layer_step, _reads_y, half
 
 
 def _digits3(code: int) -> tuple[int, int, int]:
@@ -40,29 +42,19 @@ _NO_DIGITS = 13  # the code of 0 0 0, passed where a layer reads no y/2
 _KIND = [d0 or d1 or d2 for d0, d1, d2 in map(_digits3, range(27))]
 
 
-def _reads_y(state: tuple) -> int:
-    """How the layer state ``state`` reads y/2: 0 not at all (kind 0, or
-    spliced onto a constant), 1 digit by digit while an ``("add", e)``
-    double may still splice, 2 every digit (both doubles copy, so the layer
-    is a plain average from then on)."""
-    kind, _, s1, s2 = state
-    return 0 if not kind or _is_const(s1) or _is_const(s2) else 2 if s1 == s2 == "copy" else 1
-
-
 class _Layers:
     """Interned numerator layer states and their memoized transitions.
 
-    A layer state is a state ``(kind, s0, s1, s2)`` of
-    :func:`streamreal.sd_ops._layer_step`, whose ``kind`` is the quotient
-    digit that made the layer.  A new layer reads three digits before it
-    emits one and from then on emits digit i of its own after reading digit
-    i + 3 of the layer below, as the stream tower does, so every layer moves
-    by whole 3-digit codes.  A state whose automata have spliced onto a
-    constant reads nothing more and forgets the stages below the constant.
+    A layer state is a state of :func:`streamreal.sd_ops._layer_step`,
+    interned under its ``sd_ops._canonical`` form, and a layer of each kind,
+    the quotient digit that made it, starts from ``sd_ops._LAYER_STARTS``.
+    A new layer reads three digits before it emits one and from then on
+    emits digit i of its own after reading digit i + 3 of the layer below,
+    as the stream tower does, so every layer moves by whole 3-digit codes.
 
     Each interned state owns one row, a plain list: entries 0 to 26 are
     lists of 27 entries, indexed by the code from below and then by the code
-    of y/2, entry 27 is the state, entry 28 its ``_reads_y``, and entry
+    of y/2, entry 27 is the state, entry 28 its ``sd_ops._reads_y``, and entry
     29 + c is ``(row, c)``, the entry of every step into this row that
     emits the code c.  An entry is ``(next row, code emitted)``, one of the
     next row's own, or None until its first use fills it.  ``start[kind]``
@@ -74,18 +66,11 @@ class _Layers:
     """
 
     def __init__(self) -> None:
-        self.ids: dict[tuple, list] = {}  # state -> its row
-        # the rows of the unprimed states, indexed by kind: 0, 1, -1
-        self.start = [self.intern((0, None, None, "dispatch")),
-                      self.intern((1, None, "dispatch", "dispatch")),
-                      self.intern((-1, None, "dispatch", "dispatch"))]
+        self.ids: dict[tuple, list] = {}
+        self.start = [self.intern(state) for state in _LAYER_STARTS]
 
     def intern(self, state: tuple) -> list:
-        kind, _, s1, s2 = state
-        if _is_const(s2):
-            state = (0, None, None, s2)
-        elif kind and _is_const(s1):
-            state = (kind, None, s1, s2)
+        state = _canonical(state)
         row = self.ids.get(state)
         if row is None:
             row = [[None] * 27 for _ in range(27)]

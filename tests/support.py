@@ -358,7 +358,7 @@ def reference_gray_shift(node: GrayNode, direction: int) -> GrayNode:
         c = node.force()
         s = c.head
         if s == 1:
-            return direction, GrayG.constant(-1) if end == -1 else gray_ops.one()
+            return direction, GrayG.constant(-1) if end == -1 else GrayG.cons(1, GrayG.constant(-1))
         if s == -1:
             return direction, reference_gray_negate(c.tail)
         return direction, reference_gray_shift(reference_gray_switch_mode(c.tail, GrayG), end)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from streamreal import cauchy, sd_ops
+from streamreal.kernel import SdStream
 from tests.support import cauchy_absolute, cauchy_sub, unit_fraction, within
 
 
@@ -35,7 +36,7 @@ def test_from_rational_constant():
 
 
 def test_from_stream_approximants():
-    ones = cauchy.from_stream(sd_ops.one())
+    ones = cauchy.from_stream(SdStream.constant(1))
     for n in (1, 4, 12):
         assert ones.approx(n) == 1 - Fraction(1, 1 << n)
     third = cauchy.from_stream(sd_ops.encode(Fraction(1, 3)))

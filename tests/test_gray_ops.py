@@ -47,7 +47,7 @@ def test_decode_all_delay_is_zero():
 
 def test_decode_single_constructor_midpoint():
     # one positive sign constructor confines the value to [0, 1]
-    assert gray_ops.decode(gray_ops.one(), 1) == HALF
+    assert gray_ops.decode(GrayG.cons(1, GrayG.constant(-1)), 1) == HALF
 
 
 def test_decode_roundtrip_oracle():
@@ -107,7 +107,7 @@ def test_negate_oracle():
 # --- mode conversions -----------------------------------------------------------
 
 def test_to_h_to_g_single_constructor_rewrite():
-    g = gray_ops.one()  # sign node
+    g = GrayG.cons(1, GrayG.constant(-1))  # sign node
     h = gray_ops.to_h(g)
     assert take_gray_prefix(h, 1) == [("h", 1)]
     back = gray_ops.to_g(gray_ops.to_h(g))
@@ -241,7 +241,7 @@ def test_from_sd_zero_code():
 
 
 def test_from_sd_one_decodes_to_one():
-    assert within(gray_ops.decode(gray_ops.from_sd(sd_ops.one()), 60), Fraction(1), 60)
+    assert within(gray_ops.decode(gray_ops.from_sd(SdStream.constant(1)), 60), Fraction(1), 60)
 
 
 def test_conversion_roundtrip_bound():

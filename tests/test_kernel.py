@@ -456,8 +456,8 @@ for ops, take in ((sd_ops, take_prefix), (gray_ops, take_gray_prefix)):
 
 def test_deep_chains_yield_at_the_default_recursion_limit_in_a_fresh_interpreter():
     # The chains built and read at the top level of a fresh interpreter, as
-    # README's depth table is measured, a little below its limits (331 and
-    # 994 in SD, 330 and 990 in Gray): a forced cell builds its tail without
+    # README's depth table is measured, a little below its limits (330 and
+    # 992 in SD, 329 and 988 in Gray): a forced cell builds its tail without
     # a frame, so no level costs more than its generator and its force.
     env = {**os.environ, "PYTHONPATH": str(Path(sd_ops.__file__).resolve().parents[1])}
     probe = subprocess.run([sys.executable, "-c", DEPTH_PROBE], env=env,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from streamreal import gray_ops, sd_ops
+from streamreal import gray_ops, sd_ops, sd_tower
 from streamreal.kernel import SdStream, take_prefix, with_force_count
 from tests.support import (
     division_pair,
@@ -83,10 +83,10 @@ def test_half_prepends_delay_digit():
 
 
 def test_one():
-    assert take_prefix(sd_ops.one(), 3) == [1, 1, 1]
+    assert take_prefix(SdStream.constant(1), 3) == [1, 1, 1]
     for n in (1, 5, 20):
-        assert sd_ops.decode(sd_ops.one(), n) == 1 - Fraction(1, 1 << n)
-    assert within(sd_ops.decode(sd_ops.negate(sd_ops.one()), 60), Fraction(-1), 60)
+        assert sd_ops.decode(SdStream.constant(1), n) == 1 - Fraction(1, 1 << n)
+    assert within(sd_ops.decode(sd_ops.negate(SdStream.constant(1)), 60), Fraction(-1), 60)
 
 
 def test_add_one_equations():
@@ -130,7 +130,7 @@ def test_double_cases():
 # --- average ---------------------------------------------------------------
 
 def test_average_examples():
-    mid = sd_ops.average(sd_ops.one(), sd_ops.negate(sd_ops.one()))
+    mid = sd_ops.average(SdStream.constant(1), sd_ops.negate(SdStream.constant(1)))
     for n in (1, 10, 60):
         assert within(sd_ops.decode(mid, n), Fraction(0), n)
     avg = sd_ops.average(sd_ops.encode(HALF), sd_ops.encode(QUARTER))
@@ -248,6 +248,28 @@ def test_carry_table_is_the_average_step():
     for c, a, b in triples:
         carry, d = sd_ops._average_step(c, a, b)
         assert sd_ops._CARRY_STEPS[2 * c + a + b + 6] == (2 * carry + 6, d), (c, a, b)
+
+
+def test_canonical_layer_state_forgets_the_stages_below_a_constant():
+    # a constant outer double is the whole layer; a constant inner double
+    # leaves the carry unread.  Either way the canonical state steps alike.
+    spliced = {(1, 2, ("add", 1), ("const", -1)): (0, None, None, ("const", -1)),
+               (0, 1, 0, ("const", 1)): (0, None, None, ("const", 1)),
+               (-1, -2, ("const", 1), ("add", 1)): (-1, None, ("const", 1), ("add", 1)),
+               (1, 0, ("const", -1), "copy"): (1, None, ("const", -1), "copy")}
+    for state, canonical in spliced.items():
+        assert sd_ops._canonical(state) == canonical
+        for a, h in ((-1, 1), (0, 0), (1, -1)):
+            next_state, x = sd_ops._layer_step(state, a, h)
+            assert sd_ops._layer_step(canonical, a, h)[1] == x
+            assert sd_ops._canonical(sd_ops._layer_step(canonical, a, h)[0]) == sd_ops._canonical(next_state)
+    for state in (*sd_ops._LAYER_STARTS, (1, 0, "copy", ("add", -1)), (0, 1, -1, "copy"), (-1, 2, "copy", "copy")):
+        assert sd_ops._canonical(state) is state
+
+
+@pytest.mark.parametrize("kind", [0, 1, -1])
+def test_the_tower_starts_each_kind_from_the_shared_start_state(kind):
+    assert sd_tower._LAYERS.start[kind][27] == sd_ops._LAYER_STARTS[kind]
 
 
 def _in_gray(op):

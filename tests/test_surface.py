@@ -31,10 +31,10 @@ SURFACE = {
     "cli": {"build_parser", "gray_to_text", "main", "report_line", "sd_to_text"},
     "digits": {"format_rational", "parse_rational"},
     "gray_ops": {"add_one", "average", "decode", "divide", "double", "encode", "from_sd", "half", "negate",
-                 "one", "sub_one", "to_g", "to_h", "to_sd", "twice_minus", "twice_plus"},
+                 "sub_one", "to_g", "to_h", "to_sd", "twice_minus", "twice_plus"},
     "kernel": {"Cell", "GrayG", "GrayH", "GrayNode", "SdStream", "stream_from_digits",
                "take_gray_prefix", "take_prefix", "unfold_sd", "with_force_count", "with_force_count_gray"},
-    "sd_ops": {"add_one", "average", "decode", "divide", "double", "encode", "half", "negate", "one",
+    "sd_ops": {"add_one", "average", "decode", "divide", "double", "encode", "half", "negate",
                "sub_one", "twice_minus", "twice_plus"},
     "sd_tower": {"quotient_digits"},
 }
@@ -44,8 +44,10 @@ PRIVATE_IMPORTS = {
     ("cli", "digits", "_is_decimal"),
     ("gray_ops", "kernel", "_FORCE_LOCK"),
     ("gray_ops", "kernel", "_count_on"),
-    ("sd_tower", "sd_ops", "_is_const"),
+    ("sd_tower", "sd_ops", "_LAYER_STARTS"),
+    ("sd_tower", "sd_ops", "_canonical"),
     ("sd_tower", "sd_ops", "_layer_step"),
+    ("sd_tower", "sd_ops", "_reads_y"),
 }
 
 
@@ -90,6 +92,17 @@ def private_imports(module: str) -> set[tuple[str, str, str]]:
 
 def test_private_imports_between_modules_are_the_committed_set():
     assert set().union(*(private_imports(module) for module in SURFACE)) == PRIVATE_IMPORTS
+
+
+def test_the_division_tower_keeps_layer_states_opaque():
+    # the layer state format lives in sd_ops beside _layer_step: sd_tower
+    # spells no state and tests none of its stages
+    tree = ast.parse((PACKAGE / "sd_tower.py").read_text(encoding="utf-8"))
+    spelled = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in {"dispatch", "copy", "add", "const"}]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name == "_is_const"]
+    assert spelled == [] and imported == []
 
 
 # Functions that call ``._force()`` outside ``with _FORCE_LOCK`` and are not
