@@ -312,7 +312,7 @@ def _reads_y(state: tuple) -> int:
 def _canonical(state: tuple) -> tuple:
     """``state`` with the stages below a constant forgotten: once the outer
     double is constant the layer is that constant, and once the inner one
-    is the carry is read no more, so states that step alike are equal."""
+    is, the carry is read no more, so states that step alike are equal."""
     kind, _, s1, s2 = state
     if _is_const(s2):
         return (0, None, None, s2)

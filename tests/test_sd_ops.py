@@ -260,9 +260,8 @@ def test_canonical_layer_state_forgets_the_stages_below_a_constant():
     for state, canonical in spliced.items():
         assert sd_ops._canonical(state) == canonical
         for a, h in ((-1, 1), (0, 0), (1, -1)):
-            next_state, x = sd_ops._layer_step(state, a, h)
-            assert sd_ops._layer_step(canonical, a, h)[1] == x
-            assert sd_ops._canonical(sd_ops._layer_step(canonical, a, h)[0]) == sd_ops._canonical(next_state)
+            (next_state, x), (next_canonical, y) = sd_ops._layer_step(state, a, h), sd_ops._layer_step(canonical, a, h)
+            assert y == x and sd_ops._canonical(next_canonical) == sd_ops._canonical(next_state)
     for state in (*sd_ops._LAYER_STARTS, (1, 0, "copy", ("add", -1)), (0, 1, -1, "copy"), (-1, 2, "copy", "copy")):
         assert sd_ops._canonical(state) is state
 
