@@ -125,7 +125,8 @@ def _cmd_encode(args) -> int:
 
 
 # op name -> (signed-digit operation, exact value); convert is the round
-# trip through the Gray coding
+# trip through the Gray coding, and to_sd hands back the unforced view's
+# source, so it converts no symbol and prints what encode prints
 _OPS = {
     "neg": (sd_ops.negate, lambda a: -a),
     "half": (sd_ops.half, lambda a: a / 2),

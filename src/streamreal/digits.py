@@ -2,11 +2,13 @@
 
 Rationals are stdlib :class:`fractions.Fraction` values, which already keep
 the canonical form we rely on (positive denominator, reduced by gcd,
-arbitrary-precision integers).
+arbitrary-precision integers), and their parts are written in decimal by
+stdlib :class:`decimal.Decimal`, which :mod:`fractions` already loads.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -40,26 +42,8 @@ def _is_decimal(text: str) -> bool:
 
 def format_rational(a: Fraction) -> str:
     """Render as ``P/Q`` (denominator always shown, ASCII minus), at any
-    size."""
-    return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
-
-
-_CHUNK_DIGITS = 600  # below 640, the least nonzero limit Python allows
-
-
-def _decimal(n: int) -> str:
-    """``str(n)``, and past the interpreter's limit on converting an int
-    to ``str`` (``sys.get_int_max_str_digits()``) the same digits, written
-    in chunks of ``_CHUNK_DIGITS``; the limit is not changed."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    chunk = 10 ** _CHUNK_DIGITS
-    rest = abs(n)
-    parts = []
-    while rest >= chunk:
-        rest, low = divmod(rest, chunk)
-        parts.append(f"{low:0{_CHUNK_DIGITS}d}")
-    parts.append(f"{'-' if n < 0 else ''}{rest}")
-    return "".join(reversed(parts))
+    size: :class:`decimal.Decimal` converts an int exactly and writes it
+    with no digit limit, so the interpreter's limit on converting an int
+    to ``str`` (``sys.get_int_max_str_digits()``) is neither met nor
+    changed."""
+    return f"{Decimal(a.numerator)}/{Decimal(a.denominator)}"

@@ -51,7 +51,8 @@ view: every Gray operation runs a signed-digit automaton between the
 conversions (:mod:`streamreal.gray_ops`).  :func:`with_force_count` wraps
 no stream that can re-run its own recipe: an unforced head whose pull has
 a ``recount`` method, a fresh ``sd_ops.encode`` or an unforced Gray view,
-is counted by re-running the recipe with the counter.
+is counted by re-running the recipe with the counter.  An encode has one
+generator for both: forcing the head runs ``recount`` with no counter.
 """
 
 from __future__ import annotations
@@ -317,10 +318,10 @@ def with_force_count(u: Cell) -> tuple[Cell, _ForceCount]:
     inflate the tally.  A stream that can re-run its own recipe is counted
     by re-running it, and ``u`` stays unforced: an unforced head whose pull
     has a ``recount`` method, a fresh ``sd_ops.encode`` or an unforced Gray
-    view, returns ``recount(counter)``.  The encoder then ticks once per
-    digit it emits, and a view comes back as the same view over its counted
-    signed-digit source, which it reads one digit per constructor and hands
-    to ``to_sd``.  Any other stream -- forced or partly read, an
+    view, returns ``recount(counter)``.  The encoder, the generator that
+    an uncounted encode runs, then ticks once per digit it emits, and a
+    view comes back as the same view over its counted signed-digit source,
+    which it reads one digit per constructor and hands to ``to_sd``.  Any other stream -- forced or partly read, an
     operation's result, :func:`unfold_sd` -- is wrapped cell by cell.
     """
     counter = _ForceCount()

@@ -24,7 +24,7 @@ def encode(a: Fraction) -> SdStream:
     in [-1, 1], so ``|decode(encode(a), n) - a| <= 2**-n`` for every n.
     The head keeps ``a`` until it is forced, so
     :func:`streamreal.kernel.with_force_count` counts a fresh encode by
-    encoding ``a`` again with the counter.
+    running the same encoder on ``a`` again with the counter.
     """
     if not -1 <= a <= 1:
         raise ValueError("not-in-unit-interval")
@@ -33,8 +33,10 @@ def encode(a: Fraction) -> SdStream:
 
 class _Encoder:
     """Pull of a fresh encode's head cell, keeping ``num/den``.  Forced, it
-    starts the encoder and carries its first cell, so the tail cells pull
-    from the generator, not from here."""
+    starts the one encoder, :func:`_encode`, with no counter and carries its
+    first cell, so the tail cells pull from the generator, not from here.
+    It builds that stream itself rather than through :meth:`recount`, whose
+    frame would cost a ``double∘half`` chain a level of depth."""
 
     __slots__ = ("num", "den")
 
@@ -43,37 +45,27 @@ class _Encoder:
         self.den = den
 
     def __call__(self):
-        raise StopIteration(stream_from_digits(_encode(self.num, self.den)))
+        raise StopIteration(stream_from_digits(_encode(self.num, self.den, None)))
 
     def recount(self, counter) -> SdStream:
         """A fresh encode of the same rational that ticks ``counter`` once
         per digit it emits: how :func:`streamreal.kernel.with_force_count`
         counts an unforced encode."""
-        return stream_from_digits(_encode_counted(self.num, self.den, counter))
+        return stream_from_digits(_encode(self.num, self.den, counter))
 
 
-def _encode(num: int, den: int) -> Iterator[int]:
+def _encode(num: int, den: int, counter) -> Iterator[int]:
+    """Digits of ``num/den``, with one tick of ``counter.count`` per digit
+    unless ``counter`` is ``None``."""
+    low = -den // 4  # 4 * num <= -den iff num <= low
+    high = -low  # 4 * num >= den iff num >= high
     while True:
-        if 4 * num >= den:
+        if counter is not None:
+            counter.count += 1
+        if num >= high:
             yield 1
             num = 2 * num - den
-        elif 4 * num <= -den:
-            yield -1
-            num = 2 * num + den
-        else:
-            yield 0
-            num = 2 * num
-
-
-def _encode_counted(num: int, den: int, counter) -> Iterator[int]:
-    """:func:`_encode` with one tick of ``counter.count`` per digit, kept
-    apart so an uncounted encode pays for no tick."""
-    while True:
-        counter.count += 1
-        if 4 * num >= den:
-            yield 1
-            num = 2 * num - den
-        elif 4 * num <= -den:
+        elif num <= low:
             yield -1
             num = 2 * num + den
         else:

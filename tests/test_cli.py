@@ -138,6 +138,20 @@ def test_op_convert_sd_roundtrip(capsys):
     assert within(value, Fraction(-3, 4), 8)
 
 
+@pytest.mark.parametrize("code", ["sd", "gray"])
+@pytest.mark.parametrize("value", ["63/199", "-3/4", "1/2", "0"])
+def test_op_convert_is_the_encode_it_round_trips(capsys, value, code):
+    # to_sd hands back the unforced view's source, so the round trip
+    # converts no symbol: convert prints encode's symbols and forces one
+    # input digit per symbol
+    code1, out, _ = run_cli(capsys, "op", "convert", value, "--digits", "24", "--code", code, "--stats")
+    code2, encoded, _ = run_cli(capsys, "encode", value, "--digits", "24", "--code", code)
+    assert (code1, code2) == (0, 0)
+    symbols, report = out.splitlines()
+    assert symbols + "\n" == encoded
+    assert report_fields(report)["u-forced"] == "24"
+
+
 def test_op_stats_line(capsys):
     code, out, _ = run_cli(capsys, "op", "neg", "1/2", "--digits", "6", "--stats")
     assert code == 0

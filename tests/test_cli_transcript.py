@@ -12,12 +12,14 @@ command prints changes it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import re
 
 import pytest
 
+from streamreal import cli
 from streamreal.cli import main
 from streamreal.digits import format_rational
 from tests.support import division_pair, unit_fraction
@@ -216,6 +218,18 @@ GOLDEN = {
 def test_cli_transcript(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
     assert _digest(_transcript(capsys, argv)) == GOLDEN[" ".join(argv)]
+
+
+def test_one_parser_for_every_call_prints_every_transcript(capsys, monkeypatch):
+    # main builds its parser through the module attribute, so a cached
+    # build_parser shares one parser across all commands, misuses included,
+    # run forward and then backward
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    commands = _commands()
+    for argv in commands + commands[::-1]:
+        assert _digest(_transcript(capsys, argv)) == GOLDEN[" ".join(argv)], argv
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def _forced(capsys, argv) -> dict[str, str]:
