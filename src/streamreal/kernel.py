@@ -51,8 +51,8 @@ view: every Gray operation runs a signed-digit automaton between the
 conversions (:mod:`streamreal.gray_ops`).  :func:`with_force_count` wraps
 no stream that can re-run its own recipe: an unforced head whose pull has
 a ``recount`` method, a fresh ``sd_ops.encode`` or an unforced Gray view,
-is counted by re-running the recipe with the counter.  An encode has one
-generator for both: forcing the head runs ``recount`` with no counter.
+is counted by re-running the recipe with the counter.  An encode runs the
+same generator either way, with no counter when its head is forced.
 """
 
 from __future__ import annotations
@@ -321,8 +321,9 @@ def with_force_count(u: Cell) -> tuple[Cell, _ForceCount]:
     view, returns ``recount(counter)``.  The encoder, the generator that
     an uncounted encode runs, then ticks once per digit it emits, and a
     view comes back as the same view over its counted signed-digit source,
-    which it reads one digit per constructor and hands to ``to_sd``.  Any other stream -- forced or partly read, an
-    operation's result, :func:`unfold_sd` -- is wrapped cell by cell.
+    which it reads one digit per constructor and hands to ``to_sd``.  Any
+    other stream -- forced or partly read, an operation's result,
+    :func:`unfold_sd` -- is wrapped cell by cell.
     """
     counter = _ForceCount()
     return _count_on(u, counter), counter

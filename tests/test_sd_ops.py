@@ -35,6 +35,20 @@ def test_encode_traces():
     assert sd_ops.decode(sd_ops.encode(Fraction(-3, 4)), 4) == Fraction(-3, 4)
 
 
+def test_encode_follows_its_quarter_rule_on_every_small_rational():
+    # +1 when the remainder is >= 1/4, -1 when it is <= -1/4, else 0, then
+    # on 2r - d: remainders on the boundaries and denominators of every
+    # residue mod 4 included
+    for den in range(1, 13):
+        for num in range(-den, den + 1):
+            r = Fraction(num, den)
+            expected = []
+            for _ in range(12):
+                expected.append(1 if r >= QUARTER else -1 if r <= -QUARTER else 0)
+                r = 2 * r - expected[-1]
+            assert take_prefix(sd_ops.encode(Fraction(num, den)), 12) == expected, (num, den)
+
+
 def test_encode_range_check():
     with pytest.raises(ValueError, match="not-in-unit-interval"):
         sd_ops.encode(Fraction(3, 2))
