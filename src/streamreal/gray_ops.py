@@ -134,11 +134,11 @@ def from_sd(u: SdStream) -> GrayG:
 
 
 class _Source:
-    """Pull of a code's head cell that keeps the signed-digit stream ``u``
-    it reads, for :func:`to_sd` to hand back and for :meth:`recount` to
-    count.  Forced, it starts the from-SD automaton in the mode ``cls`` and
-    carries its first cell, so the tail cells pull from the automaton, not
-    from here."""
+    """Pull of a code's head cell: an iterator that keeps the signed-digit
+    stream ``u`` it reads, for :func:`to_sd` to hand back and for
+    :meth:`recount` to count.  Its first ``next`` starts the from-SD
+    automaton in the mode ``cls`` and carries its first cell, so the tail
+    cells pull from the automaton, not from here."""
 
     __slots__ = ("u", "cls")
 
@@ -146,7 +146,7 @@ class _Source:
         self.u = u
         self.cls = cls
 
-    def __call__(self):
+    def __next__(self):
         raise StopIteration(stream_from_digits(_from_sd(self.u, self.cls is GrayG), self.cls))
 
     def recount(self, counter) -> GrayNode:
@@ -159,7 +159,7 @@ class _Source:
 
 def _from_sd_in(cls: type, u: SdStream) -> GrayNode:
     """The from-SD automaton started in the mode of ``cls``, flag 1."""
-    return cls(_Source(u, cls))
+    return stream_from_digits(_Source(u, cls), cls)
 
 
 def _from_sd(u: SdStream, in_g: bool) -> Iterator:

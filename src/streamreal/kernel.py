@@ -26,16 +26,17 @@ Every automaton over these cells is a Python generator that takes its input
 cells as arguments and yields one output symbol per step.  Two drivers,
 one per coding, run them all through :meth:`Cell.force`: its unlocked body
 :meth:`Cell._force` for signed digits and :meth:`GrayNode._force` for Gray
-nodes.  An unforced cell holds the generator's ``__next__`` as its *pull*
-(:func:`stream_from_digits`), and forcing the cell resumes it once, sets
-``head`` to the symbol and makes ``tail`` a new cell with the same pull,
-of the class the mode asks for: the cell's own class for a digit,
-``GrayG`` after a sign and ``GrayH`` after a delay.  The drivers are
-separate code on purpose: CPython keys each attribute cache of a code
-object on the receiver's type, so one driver shared by both codings misses
-wherever they interleave.  A tail is made by ``object.__new__`` and one
-store of its pull, without ``__init__``, so a subclass of :class:`Cell`
-must not rely on ``__init__`` for its tail cells.  A generator ends its
+nodes.  An unforced cell holds the generator itself as its *pull*, an
+iterator (:func:`stream_from_digits`), and forcing the cell resumes it
+once with ``next(pull)``, sets ``head`` to the symbol and makes ``tail`` a
+new cell with the same pull, of the class the mode asks for: the cell's
+own class for a digit, ``GrayG`` after a sign and ``GrayH`` after a delay.
+The drivers are separate code on purpose: CPython keys each attribute
+cache of a code object on the receiver's type, so one driver shared by
+both codings misses wherever they interleave.  Every cell is made by
+calling its class with no arguments and storing its pull, or its head and
+tail: :class:`Cell` and its subclasses have no ``__init__``, which keeps
+that call the cheapest way to make a cell.  A generator ends its
 stream in one way only, by returning a cell, which its ``StopIteration``
 carries: the cell being forced forces that cell and takes its head and
 tail, and the stream goes on as the returned one, which may be an input
@@ -68,27 +69,29 @@ class Cell:
 
     ``head``/``tail`` are plain attributes that :meth:`force` sets; an
     unforced cell has neither (all helpers in this package force before
-    reading) and holds a *pull* instead: a callable, normally a generator's
-    ``__next__``, that returns the cell's symbol or raises
+    reading) and holds a *pull* instead: an iterator, normally a generator,
+    whose ``next`` returns the cell's symbol or raises
     ``StopIteration(cell)`` to say the stream goes on as ``cell``.
 
     The tail of a forced cell is of the cell's own class, so a subclass of
     :class:`SdStream` gets tails of that subclass, except on a Gray node,
     whose tail is ``GrayH`` after a delay and ``GrayG`` after a sign; a
     cell that splices onto a carried cell takes that cell's tail.
+
+    The class has no ``__init__``, nor may a subclass have one: every cell
+    is made by calling its class with no arguments, and a cell that pulls
+    is made by :func:`stream_from_digits`, an already forced one by
+    :meth:`cons`.
     """
 
     __slots__ = ("head", "tail", "_pull")
     head: Any
     tail: Any
 
-    def __init__(self, pull: Callable[[], Any]):
-        self._pull = pull
-
     @classmethod
     def cons(cls, head: Any, tail: "Cell") -> "Cell":
         """Already forced cell ``(head, tail)``."""
-        cell = cls.__new__(cls)
+        cell = cls()
         cell.head = head
         cell.tail = tail
         cell._pull = None
@@ -124,15 +127,15 @@ class Cell:
         read entry point takes the lock once for its whole walk.
 
         It and :meth:`GrayNode._force`, the same driver with Gray tails,
-        are the only code that resumes a pull.  A symbol becomes ``head``,
-        and ``tail`` a new cell of the class of ``self``, pulling from the
-        same source; the tail is made by ``object.__new__`` and one store,
-        without ``__init__``.  A carried cell is forced here and lends its
-        ``head`` and ``tail``; a pull that has already raised carries
-        none, and its stream cannot go on.
+        are the only code that resumes a pull, by ``next(pull)``.  A symbol
+        becomes ``head``, and ``tail`` a new cell of the class of ``self``,
+        pulling from the same iterator; the tail is made by calling the
+        class with no arguments and one store.  A carried cell is forced
+        here and lends its ``head`` and ``tail``; a pull that has already
+        raised carries none, and its stream cannot go on.
 
         Any other exception that leaves here, an interrupt included,
-        replaces the pull with one that fails: a symbol that ``pull()``
+        replaces the pull with one that fails: a symbol that ``next(pull)``
         returned but the cell did not keep is lost, so the stream must not
         go on to the next one.
         """
@@ -140,13 +143,13 @@ class Cell:
         if pull is not None:
             try:
                 try:
-                    head = pull()
+                    head = next(pull)
                 except StopIteration as stop:
                     cell = _carried(stop)._force()
                     head = cell.head
                     tail = cell.tail
                 else:
-                    tail = _new(type(self))
+                    tail = type(self)()
                     tail._pull = pull
                 self.head = head
                 self.tail = tail
@@ -163,10 +166,9 @@ class Cell:
 
 
 _CONSTANTS: dict = {}
-_new = object.__new__
-# The pull of a cell whose stream failed: an exhausted iterator's, which
+# The pull of a cell whose stream failed: an exhausted iterator, which
 # raises StopIteration carrying no cell.
-_FAILED_PULL = iter(()).__next__
+_FAILED_PULL = iter(())
 
 
 def _carried(stop: StopIteration) -> Cell:
@@ -198,13 +200,13 @@ class GrayNode(Cell):
         if pull is not None:
             try:
                 try:
-                    head = pull()
+                    head = next(pull)
                 except StopIteration as stop:
                     cell = _carried(stop)._force()
                     head = cell.head
                     tail = cell.tail
                 else:
-                    tail = _new(GrayH if head is None else GrayG)
+                    tail = (GrayH if head is None else GrayG)()
                     tail._pull = pull
                 self.head = head
                 self.tail = tail
@@ -231,7 +233,7 @@ class GrayH(GrayNode):
 
 def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:
     """Stream of class ``cls`` pulling one symbol per forced cell from
-    ``symbols``.
+    ``symbols``: the one constructor of a cell that pulls.
 
     The iterator is advanced only when a new cell is forced, so generators
     passed here stay as lazy as the corecursion they implement.  When a
@@ -241,7 +243,9 @@ def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:
     delay mode H; a returned node should be of the mode the chain is in at
     that point.
     """
-    return cls(symbols.__next__)
+    cell = cls()
+    cell._pull = symbols
+    return cell
 
 
 def _unfold(state: Any, step: Callable[[Any], tuple[int, Any]]) -> Iterator[int]:

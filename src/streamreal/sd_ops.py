@@ -28,13 +28,14 @@ def encode(a: Fraction) -> SdStream:
     """
     if not -1 <= a <= 1:
         raise ValueError("not-in-unit-interval")
-    return SdStream(_Encoder(a.numerator, a.denominator))
+    return stream_from_digits(_Encoder(a.numerator, a.denominator))
 
 
 class _Encoder:
-    """Pull of a fresh encode's head cell, keeping ``num/den``.  Forced, it
-    starts the one encoder, :func:`_encode`, with no counter and carries its
-    first cell, so the tail cells pull from the generator, not from here.
+    """Pull of a fresh encode's head cell: an iterator keeping ``num/den``.
+    Its first ``next`` starts the one encoder, :func:`_encode`, with no
+    counter and carries its first cell, so the tail cells pull from the
+    generator, not from here.
     It builds that stream itself rather than through :meth:`recount`, whose
     frame would cost a ``double∘half`` chain a level of depth."""
 
@@ -44,7 +45,7 @@ class _Encoder:
         self.num = num
         self.den = den
 
-    def __call__(self):
+    def __next__(self):
         raise StopIteration(stream_from_digits(_encode(self.num, self.den, None)))
 
     def recount(self, counter) -> SdStream:

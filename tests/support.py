@@ -109,9 +109,10 @@ def lazy(cls: type, thunk) -> Cell:
 
     def pull():
         head, tail = thunk()
-        raise StopIteration(cls.cons(head, tail))
+        return cls.cons(head, tail)
+        yield  # a generator: its stream is the returned cell
 
-    return cls(pull)
+    return stream_from_digits(pull(), cls)
 
 
 def tail_at(u: Cell, n: int) -> Cell:

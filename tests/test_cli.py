@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from streamreal import cli, sd_ops
 from streamreal.cli import gray_to_text, main, report_line, sd_to_text
+from streamreal.digits import format_rational
 from tests.support import text_to_gray, text_to_sd, within
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -264,6 +265,26 @@ def test_div_precondition_messages(capsys):
     code, _, err = run_cli(capsys, "div", "1/2", "9/8")
     assert code == 3
     assert "y <= 1" in err
+
+
+def test_preconditions_format_no_rational_unless_they_fail(capsys, monkeypatch):
+    # a precondition's message is built only on failure: a valid command
+    # without --stats writes no rational, a failing one writes the values
+    # its message names
+    formatted = []
+
+    def spy(a):
+        formatted.append(a)
+        return format_rational(a)
+
+    monkeypatch.setattr(cli, "format_rational", spy)
+    for argv in (["div", "1001/3001", "10001/20001"], ["op", "avg", "1/2", "-1/3"], ["op", "double", "1/2"],
+                 ["op", "add1", "-1/2"], ["op", "sub1", "1/2", "--code", "gray"], ["encode", "-1"]):
+        code, _, err = run_cli(capsys, *argv, "--digits", "8")
+        assert (code, err, formatted) == (0, "", [])
+    code, _, err = run_cli(capsys, "div", "7/8", "1/2")
+    assert (code, err) == (3, "precondition violated: |x| <= y (x = 7/8, y = 1/2)\n")
+    assert formatted == [Fraction(7, 8), Fraction(1, 2)]
 
 
 def test_div_parse_error(capsys):

@@ -81,24 +81,24 @@ def test_a_tail_is_of_its_cell_class_or_of_the_gray_mode_its_symbol_asks_for():
 
     # a hand pull: tails of the cell's own class, a subclass's included
     for cls in (SdStream, Digits):
-        assert classes(cls(iter([1, 0, -1, 1]).__next__), 4) == [cls] * 4
+        assert classes(stream_from_digits(iter([1, 0, -1, 1]), cls), 4) == [cls] * 4
     # a Gray pull in either mode: GrayH after a delay, GrayG after a sign
     for mode in (GrayG, GrayH):
-        node = mode(iter([None, 1, None, -1, 1]).__next__)
+        node = stream_from_digits(iter([None, 1, None, -1, 1]), mode)
         assert classes(node, 6) == [mode, GrayH, GrayG, GrayH, GrayG, GrayG]
 
     # a splice: the cell keeps its class and takes the carried cell's tail
     def digits():
         yield 1
-        return Digits(iter([0, 1]).__next__)
+        return stream_from_digits(iter([0, 1]), Digits)
 
-    assert classes(SdStream(digits().__next__), 4) == [SdStream, SdStream, Digits, Digits]
+    assert classes(stream_from_digits(digits()), 4) == [SdStream, SdStream, Digits, Digits]
 
     def signs():
         yield 1
-        return GrayG(iter([None, 1]).__next__)
+        return stream_from_digits(iter([None, 1]), GrayG)
 
-    assert classes(GrayH(signs().__next__), 4) == [GrayH, GrayG, GrayH, GrayG]
+    assert classes(stream_from_digits(signs(), GrayH), 4) == [GrayH, GrayG, GrayH, GrayG]
 
 
 def test_unfold_average_seed_decodes_midpoint():
@@ -381,7 +381,7 @@ def test_a_forced_or_partly_read_encode_is_counted_through_the_wrapper(code):
             assert counter.count == 20 and view._pull is not None and _forced_cells(source, 20)
 
 
-@pytest.mark.parametrize("code, depth", [("sd", 400), ("gray", 400)])
+@pytest.mark.parametrize("code, depth", [("sd", 800), ("gray", 800)])
 def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
     x = ops.encode(Fraction(1, 3))
@@ -436,7 +436,7 @@ from streamreal.kernel import take_gray_prefix, take_prefix
 
 print(sys.getrecursionlimit())
 for ops, take in ((sd_ops, take_prefix), (gray_ops, take_gray_prefix)):
-    for op, depth in (("negate", 320), ("average", 320), ("twice_minus", 320), ("double_half", 980)):
+    for op, depth in (("negate", 485), ("average", 485), ("twice_minus", 485), ("double_half", 985)):
         x = y = ops.encode(Fraction(3, 4))
         for _ in range(depth):
             if op == "negate":
@@ -456,9 +456,10 @@ for ops, take in ((sd_ops, take_prefix), (gray_ops, take_gray_prefix)):
 
 def test_deep_chains_yield_at_the_default_recursion_limit_in_a_fresh_interpreter():
     # The chains built and read at the top level of a fresh interpreter, as
-    # README's depth table is measured, a little below its limits (330 and
-    # 992 in SD, 329 and 988 in Gray): a forced cell builds its tail without
-    # a frame, so no level costs more than its generator and its force.
+    # README's depth table is measured, a little below its limits (493 and
+    # 994 in SD, 491 and 990 in Gray): a forced cell builds its tail by
+    # calling its class, which has no __init__, and resumes its pull by
+    # next(pull), so no level costs more than its generator and its force.
     env = {**os.environ, "PYTHONPATH": str(Path(sd_ops.__file__).resolve().parents[1])}
     probe = subprocess.run([sys.executable, "-c", DEPTH_PROBE], env=env,
                            capture_output=True, text=True, check=True, timeout=120)
@@ -469,13 +470,14 @@ def test_a_pull_that_raised_fails_for_good():
     # a hand-written pull is not called again once it has raised
     calls = []
 
-    def pull():
-        calls.append(len(calls))
-        if len(calls) == 1:
-            raise ValueError("first call")
-        return 1
+    class Pull:
+        def __next__(self):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise ValueError("first call")
+            return 1
 
-    u = SdStream(pull)
+    u = stream_from_digits(Pull())
     with pytest.raises(ValueError):
         take_prefix(u, 1)
     with pytest.raises(RuntimeError, match="stream failed earlier"):

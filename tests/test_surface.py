@@ -15,6 +15,7 @@ of its input cells as it reads, so memory follows the read frontier.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 from typing import Iterator
 
@@ -217,3 +218,41 @@ def test_package_generators_run_only_in_a_cell_or_under_the_lock():
                   if isinstance(call.func, ast.Name) and call.func.id in generators
                   and id(call) not in pulled and not locked]
     assert generators and loose == []
+
+
+def test_no_cell_class_has_an_init_and_no_pull_is_called():
+    # every cell is made by calling its class with no arguments, the
+    # drivers' tails included, so no class that is Cell or derives from it
+    # may define __init__; and a pull is an iterator, resumed by next(pull)
+    cells, inits, called = {"Cell"}, [], []
+    classes = [(module, node) for module in SURFACE
+               for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    grown = True
+    while grown:
+        grown = False
+        for _, node in classes:
+            bases = {base.id if isinstance(base, ast.Name) else getattr(base, "attr", None) for base in node.bases}
+            if node.name not in cells and bases & cells:
+                cells.add(node.name)
+                grown = True
+    for module, node in classes:
+        if node.name in cells:
+            inits += [(module, node.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+    for module in SURFACE:
+        called += [(module, name) for call, name, _, _ in calls(module)
+                   if isinstance(call.func, ast.Name) and call.func.id == "pull"
+                   or isinstance(call.func, ast.Attribute) and call.func.attr == "_pull"]
+    assert cells == CELL_CLASSES and inits == [] and called == []
+
+
+def test_a_forced_signed_digit_cell_keeps_its_size():
+    from fractions import Fraction
+
+    from streamreal import sd_ops
+    from streamreal.kernel import SdStream
+
+    cell = sd_ops.negate(sd_ops.encode(Fraction(1, 3))).force()
+    assert type(cell) is SdStream and cell.tail is not None
+    assert sys.getsizeof(cell) == 56
