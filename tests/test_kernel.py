@@ -396,7 +396,7 @@ def test_forcing_a_failed_stream_again_reports_the_earlier_failure(code, depth):
 @pytest.mark.parametrize("code", ["sd", "gray"])
 def test_deep_double_half_chain_yields(code):
     # double hands its input back to splice, which _force forces in its own
-    # frame, so a level costs a third of a generator layer
+    # frame, so a level costs half a generator layer
     ops, take = (sd_ops, take_prefix) if code == "sd" else (gray_ops, take_gray_prefix)
     x = ops.encode(Fraction(1, 3))
     for _ in range(800):
