@@ -58,7 +58,7 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> d
     """The result line of one perfbench run in ``checkout``: the JSON object
     that ``perfbench/run.py`` prints last."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("PYTHONPATH", None)
+    env.pop("PYTHONPATH", None)  # perfbench imports the checkout's own src
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
