@@ -90,17 +90,15 @@ def _parse_arg(text: str) -> Fraction:
         raise _CliFailure(2, f"error: {exc}") from exc
 
 
-def _require(condition: bool, inequality: str, **values) -> None:
-    """Exit 3 naming the ``inequality`` that failed, with each field a value
-    of ``values`` and a rational written by ``format_rational``; the message
-    is built only when ``condition`` is false."""
+def _require(condition: bool, message: Callable[[], str]) -> None:
+    """Exit 3 naming the inequality that failed; ``message`` builds its text
+    only when ``condition`` is false."""
     if not condition:
-        fields = {key: format_rational(v) if isinstance(v, Fraction) else v for key, v in values.items()}
-        raise _CliFailure(3, f"precondition violated: {inequality.format(**fields)}")
+        raise _CliFailure(3, f"precondition violated: {message()}")
 
 
 def _require_unit(a: Fraction, name: str) -> None:
-    _require(-1 <= a <= 1, "-1 <= {name} <= 1 ({name} = {a})", name=name, a=a)
+    _require(-1 <= a <= 1, lambda: f"-1 <= {name} <= 1 ({name} = {format_rational(a)})")
 
 
 def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
@@ -108,7 +106,7 @@ def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
     ``values``, lifted into the coding ``args.code``; under ``args.stats``
     decode them and print the report line against the ``exact`` value."""
     n = args.digits
-    _require(n >= 1, "--digits >= 1 (--digits = {n})", n=n)
+    _require(n >= 1, lambda: f"--digits >= 1 (--digits = {n})")
     to_text = gray_to_text if args.code == "gray" else sd_to_text
     inputs = [with_force_count(sd_ops.encode(a)) for a in values]
     u = op(*[stream for stream, _ in inputs])
@@ -148,11 +146,11 @@ def _check_op_preconditions(name: str, values: list[Fraction]) -> None:
     if name == "avg":
         _require_unit(values[1], "b")
     elif name == "double":
-        _require(abs(a) <= Fraction(1, 2), "|a| <= 1/2 (a = {a})", a=a)
+        _require(abs(a) <= Fraction(1, 2), lambda: f"|a| <= 1/2 (a = {format_rational(a)})")
     elif name == "add1":
-        _require(a <= 0, "a <= 0 (a = {a})", a=a)
+        _require(a <= 0, lambda: f"a <= 0 (a = {format_rational(a)})")
     elif name == "sub1":
-        _require(a >= 0, "0 <= a (a = {a})", a=a)
+        _require(a >= 0, lambda: f"0 <= a (a = {format_rational(a)})")
 
 
 def _cmd_op(args) -> int:
@@ -169,9 +167,9 @@ def _cmd_op(args) -> int:
 
 
 def _check_div_preconditions(x: Fraction, y: Fraction) -> None:
-    _require(Fraction(1, 4) <= y, "1/4 <= y (y = {y})", y=y)
-    _require(y <= 1, "y <= 1 (y = {y})", y=y)
-    _require(abs(x) <= y, "|x| <= y (x = {x}, y = {y})", x=x, y=y)
+    _require(Fraction(1, 4) <= y, lambda: f"1/4 <= y (y = {format_rational(y)})")
+    _require(y <= 1, lambda: f"y <= 1 (y = {format_rational(y)})")
+    _require(abs(x) <= y, lambda: f"|x| <= y (x = {format_rational(x)}, y = {format_rational(y)})")
 
 
 def _cmd_div(args) -> int:

@@ -53,10 +53,14 @@ def test_pairs_alternate_which_side_runs_first_on_consecutive_seeds():
 
 def test_verdicts_against_the_bound():
     # worse past the bound; unresolved where the parent's quartiles lie
-    # further apart than the bound; ties win for neither side
+    # further apart than the bound, unless every change run reads better
+    # than every parent run; ties win for neither side
     assert pairbench.compare([1.0] * 4, [1.3] * 4, "lower", 0.25)["verdict"] == "worse"
     assert pairbench.compare([1.0] * 4, [0.7] * 4, "higher", 0.25)["verdict"] == "worse"
     assert pairbench.compare([1.0, 1.0, 2.0, 2.0], [1.2] * 4, "lower", 0.25)["verdict"] == "unresolved"
+    assert pairbench.compare([1.0, 1.0, 2.0, 2.0], [0.9] * 4, "lower", 0.25)["verdict"] == "within"
+    assert pairbench.compare([1.0, 1.0, 2.0, 2.0], [2.1] * 4, "higher", 0.25)["verdict"] == "within"
+    assert pairbench.compare([1.0, 1.0, 2.0, 2.0], [0.9, 0.9, 0.9, 1.0], "lower", 0.25)["verdict"] == "unresolved"
     row = pairbench.compare([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 3.5, 3.0, 4.0], "lower", 1.0)
     assert row == {"median": 3.0, "q1": 2.0, "q3": 4.0, "change": 3.0, "delta": 0.0, "won": 3,
                    "verdict": "within"}
@@ -78,14 +82,14 @@ def test_main_writes_the_bench_file_layout_and_reports_each_metric(tmp_path, mon
     monkeypatch.setattr(pairbench, "run_exponent", lambda checkout: {
         "elapsed_s": {"100": 0.001}, "growth_exponent": 1.7 if checkout.name == "parent" else 1.9})
     out = tmp_path / "BENCH.json"
-    assert pairbench.main(["a", "b", "--spec", "expr-dag:5:2", "--spec", "div-sd:9:1", "--seconds", "3",
-                           "--exponent", "2", "--json", str(out)]) == 0
-    assert runs == [("parent", "expr-dag", 5, 3), ("change", "expr-dag", 5, 3), ("change", "expr-dag", 6, 3),
-                    ("parent", "expr-dag", 6, 3), ("parent", "div-sd", 9, 3), ("change", "div-sd", 9, 3)]
+    assert pairbench.main(["a", "b", "--spec", "expr-dag:5:2", "--spec", "div-sd:9:1", "--exponent", "2", "--json", str(out)]) == 0
+    assert runs == [("parent", "expr-dag", 5, 25), ("change", "expr-dag", 5, 25), ("change", "expr-dag", 6, 25),
+                    ("parent", "expr-dag", 6, 25), ("parent", "div-sd", 9, 25), ("change", "div-sd", 9, 25)]
 
     bench = json.loads(out.read_text())
     assert list(bench) == list(json.loads((ROOT / "BENCH_25.json").read_text()))
     assert (bench["parent"], bench["change"]) == ("a" * 40, "b" * 40)
+    assert "--seconds 25," in bench["command"]
     assert bench["runs"][2] == {"workload": "expr-dag", "seed": 6, "pair": 1, "side": "change",
                                 "result": result(0.002)}
     assert [run["side"] for run in bench["exponent_runs"]] == ["parent", "change", "change", "parent"]

@@ -8,8 +8,9 @@ Each commit is exported with ``git archive`` into a fresh directory, so no
 ``__pycache__`` or stray file of the working tree reaches a run.  A spec
 ``WORKLOAD:SEED:PAIRS`` runs ``PAIRS`` pairs on seeds ``SEED``,
 ``SEED + 1``, ...: each pair runs ``perfbench/run.py`` once per side on one
-seed, under ``PYTHONDONTWRITEBYTECODE=1``, the parent first in even pairs
-and the change first in odd ones.  ``--exponent K`` then runs ``K`` fresh
+seed, for the ``run_seconds`` of the change's ``BENCHMARK.json``, under
+``PYTHONDONTWRITEBYTECODE=1``, the parent first in even pairs and the
+change first in odd ones.  ``--exponent K`` then runs ``K`` fresh
 ``python3 -m streamreal bench --digits 100,500,2000`` processes per side,
 alternating, for the division's growth exponent.
 
@@ -22,8 +23,9 @@ change won (ties count for neither side) and a verdict against the metric's
 bound: ``worse`` when the change's median is worse than the parent's by
 more than the bound, ``unresolved`` when the parent's own spread (the
 distance between its quartiles, relative to its median) is wider than the
-bound, and ``within`` otherwise.  It adds no dependency: it runs on the
-standard library and ``git``.
+bound and some change run reads no better than some parent run, and
+``within`` otherwise.  It adds no dependency: it runs on the standard
+library and ``git``.
 """
 
 from __future__ import annotations
@@ -123,9 +125,10 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     base = statistics.median(parent)
     q1, q3 = quartiles(parent)
     delta = (statistics.median(change) - base) / base
+    all_better = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
     if (delta if better == "lower" else -delta) > bound:
         verdict = "worse"
-    elif (q3 - q1) / base > bound:
+    elif (q3 - q1) / base > bound and not all_better:
         verdict = "unresolved"
     else:
         verdict = "within"
@@ -176,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", help="the commit measured against it")
     parser.add_argument("--spec", action="append", type=parse_spec, required=True,
                         metavar="WORKLOAD:SEED:PAIRS", help="pairs of one workload, seeds from SEED on")
-    parser.add_argument("--seconds", type=float, default=25, help="perfbench run length (default 25)")
     parser.add_argument("--exponent", type=int, default=0, metavar="K",
                         help="growth-exponent processes per side (default 0)")
     parser.add_argument("--json", type=Path, help="write the runs to this file")
@@ -189,8 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         for side, checkout in checkouts.items():
             checkout.mkdir()
             export(repo, commits[side], checkout)
-        metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-        runs = paired_runs(args.spec, args.seconds,
+        benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        seconds = benchmark["run_seconds"]
+        runs = paired_runs(args.spec, seconds,
                            lambda side, *run: run_perfbench(checkouts[side], *run),
                            log=lambda line: print(line, file=sys.stderr, flush=True))
         exponents = exponent_runs(args.exponent, lambda side: run_exponent(checkouts[side]))
@@ -198,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         args.json.write_text(json.dumps({
             "python": platform.python_version(),
             "host": f"{len(os.sched_getaffinity(0))} vCPUs, {platform.system()}",
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}, in fresh "
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}, in fresh "
                        "git archive checkouts of each commit under PYTHONDONTWRITEBYTECODE=1, sides "
                        "alternating within each pair",
             "parent": commits["parent"],
@@ -208,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "each, alternating sides",
             "exponent_runs": exponents,
         }, indent=1) + "\n")
-    print("\n".join(report(runs, metrics, exponents)))
+    print("\n".join(report(runs, benchmark["end_to_end"], exponents)))
     return 0
 
 
