@@ -209,9 +209,9 @@ def _layer(u: SdStream, w: SdStream, state: tuple) -> Iterator[int]:
 
 
 # The one-digit step functions of the automata above and of the numerator
-# layer built from them, with the layer's start states, y/2 reads and
-# canonical form: the only copy, which the generators above run and the
-# division's tower (:mod:`streamreal.sd_tower`) tabulates over opaque states.
+# layer built from them, with the layer's start states and y/2 reads: the
+# only copy, which the generators above run and the division's tower
+# (:mod:`streamreal.sd_tower`) tabulates over opaque states.
 
 def _average_step(carry: int | None, a: int, b: int) -> tuple[int, int | None]:
     """One digit pair through the carry automaton of :func:`average`."""
@@ -302,18 +302,6 @@ def _reads_y(state: tuple) -> int:
     return 0 if not kind or _is_const(s1) or _is_const(s2) else 2 if s1 == s2 == "copy" else 1
 
 
-def _canonical(state: tuple) -> tuple:
-    """``state`` with the stages below a constant forgotten: once the outer
-    double is constant the layer is that constant, and once the inner one
-    is, the carry is read no more, so states that step alike are equal."""
-    kind, _, s1, s2 = state
-    if _is_const(s2):
-        return (0, None, None, s2)
-    if kind and _is_const(s1):
-        return (kind, None, s1, s2)
-    return state
-
-
 def divide(u: SdStream, v: SdStream) -> SdStream:
     """Denotes ``x/y`` under ``1/4 <= y`` and ``|x| <= y``.
 
@@ -329,7 +317,7 @@ def divide(u: SdStream, v: SdStream) -> SdStream:
     each is one interned state of :func:`_layer_step`, the automaton that
     runs :func:`twice_minus` and :func:`twice_plus`, held as the row of its
     memoized transitions.  The tower keeps the states opaque: their start
-    states, y/2 reads and canonical form are defined here, by the step.
+    states and y/2 reads are defined here, by the step.
     Every output digit reads three digits of ``u`` and passes them up the
     tower as one 3-digit code, one lookup in each layer's row, and takes its
     digit from the top layer's code.  Layer j reads ``y/2`` at a position

@@ -7,8 +7,8 @@ each layer is one interned state of the layer automaton
 :func:`streamreal.sd_ops._layer_step`, the one that runs
 ``sd_ops.twice_minus`` and ``twice_plus``, whose transitions are memoized
 in nested rows that fill on first use.  The states are opaque here:
-``sd_ops`` owns their format, their start states, how each reads y/2 and
-the canonical form they are interned under.
+``sd_ops`` owns their format, their start states and how each reads y/2,
+and a row is keyed on a state exactly as the step returns it.
 
 The layer loop holds each layer as the row of its state, so that one layer
 step is three subscripts of small ints: ``row[code][h]`` is the next row and
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .kernel import SdStream
-from .sd_ops import _LAYER_STARTS, _canonical, _layer_step, _reads_y, half
+from .sd_ops import _LAYER_STARTS, _layer_step, _reads_y, half
 
 
 def _digits3(code: int) -> tuple[int, int, int]:
@@ -46,8 +46,11 @@ class _Layers:
     """Interned numerator layer states and their memoized transitions.
 
     A layer state is a state of :func:`streamreal.sd_ops._layer_step`,
-    interned under its ``sd_ops._canonical`` form, and a layer of each kind,
-    the quotient digit that made it, starts from ``sd_ops._LAYER_STARTS``.
+    interned as the step returns it, and a layer of each kind, the quotient
+    digit that made it, starts from ``sd_ops._LAYER_STARTS``.  A state that
+    has spliced onto a constant keeps the stages below it, which step no
+    more; the states that 3-digit steps reach from the starts number at most
+    162, so the rows stay bounded for any input.
     A new layer reads three digits before it emits one and from then on
     emits digit i of its own after reading digit i + 3 of the layer below,
     as the stream tower does, so every layer moves by whole 3-digit codes.
@@ -70,7 +73,6 @@ class _Layers:
         self.start = [self.intern(state) for state in _LAYER_STARTS]
 
     def intern(self, state: tuple) -> list:
-        state = _canonical(state)
         row = self.ids.get(state)
         if row is None:
             row = [[None] * 27 for _ in range(27)]

@@ -16,7 +16,9 @@ _spec = importlib.util.spec_from_file_location("pairbench", ROOT / "tools" / "pa
 pairbench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairbench)
 
-METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = BENCHMARK["end_to_end"]
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
 def result(p50: float, failed: int = 0, correct: bool = True) -> dict:
@@ -34,20 +36,18 @@ def test_pairs_alternate_which_side_runs_first_on_consecutive_seeds():
         calls.append((side, workload, seed, seconds))
         return result(0.002)
 
-    runs = pairbench.paired_runs([("expr-dag", 7, 3), ("div-sd", 20, 2)], 25, runner, logged.append)
-    assert calls == [("parent", "expr-dag", 7, 25), ("change", "expr-dag", 7, 25),
-                     ("change", "expr-dag", 8, 25), ("parent", "expr-dag", 8, 25),
-                     ("parent", "expr-dag", 9, 25), ("change", "expr-dag", 9, 25),
-                     ("parent", "div-sd", 20, 25), ("change", "div-sd", 20, 25),
-                     ("change", "div-sd", 21, 25), ("parent", "div-sd", 21, 25)]
-    assert [(run["workload"], run["seed"], run["pair"], run["side"]) for run in runs[:4]] == [
-        ("expr-dag", 7, 0, "parent"), ("expr-dag", 7, 0, "change"), ("expr-dag", 8, 1, "change"),
-        ("expr-dag", 8, 1, "parent")]
-    assert len(logged) == len(runs) == 10 and logged[0].startswith("expr-dag seed 7 parent: setup_s=0.02 ")
+    runs = pairbench.paired_runs(WORKLOADS, 7, 25, runner, logged.append)
+    assert calls == [(side, workload, 7 + 10 * i + pair, 25)
+                     for i, workload in enumerate(WORKLOADS) for pair in range(10)
+                     for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent"))]
+    assert [(run["workload"], run["seed"], run["pair"], run["side"]) for run in runs[18:22]] == [
+        ("div-sd", 16, 9, "change"), ("div-sd", 16, 9, "parent"), ("div-gray", 17, 0, "parent"),
+        ("div-gray", 17, 0, "change")]
+    assert len(logged) == len(runs) == 80 and logged[0].startswith("div-sd seed 7 parent: setup_s=0.02 ")
 
     sides = []
-    exponents = pairbench.exponent_runs(2, lambda side: sides.append(side) or {"growth_exponent": 1.8})
-    assert sides == ["parent", "change", "change", "parent"]
+    exponents = pairbench.exponent_runs(lambda side: sides.append(side) or {"growth_exponent": 1.8})
+    assert sides == ["parent", "change", "change", "parent"] * 10
     assert exponents[2] == {"side": "change", "process": 1, "growth_exponent": 1.8}
 
 
@@ -82,26 +82,35 @@ def test_main_writes_the_bench_file_layout_and_reports_each_metric(tmp_path, mon
     monkeypatch.setattr(pairbench, "run_exponent", lambda checkout: {
         "elapsed_s": {"100": 0.001}, "growth_exponent": 1.7 if checkout.name == "parent" else 1.9})
     out = tmp_path / "BENCH.json"
-    assert pairbench.main(["a", "b", "--spec", "expr-dag:5:2", "--spec", "div-sd:9:1", "--exponent", "2", "--json", str(out)]) == 0
-    assert runs == [("parent", "expr-dag", 5, 25), ("change", "expr-dag", 5, 25), ("change", "expr-dag", 6, 25),
-                    ("parent", "expr-dag", 6, 25), ("parent", "div-sd", 9, 25), ("change", "div-sd", 9, 25)]
+    assert pairbench.main(["a", "b", "--seed", "5", "--json", str(out)]) == 0
+    assert len(runs) == 80 and runs[:3] == [("parent", "div-sd", 5, 25), ("change", "div-sd", 5, 25),
+                                            ("change", "div-sd", 6, 25)]
+    assert runs[-1] == ("parent", "cli-mix", 44, 25)
 
     bench = json.loads(out.read_text())
     assert list(bench) == list(json.loads((ROOT / "BENCH_25.json").read_text()))
     assert (bench["parent"], bench["change"]) == ("a" * 40, "b" * 40)
     assert "--seconds 25," in bench["command"]
-    assert bench["runs"][2] == {"workload": "expr-dag", "seed": 6, "pair": 1, "side": "change",
-                                "result": result(0.002)}
-    assert [run["side"] for run in bench["exponent_runs"]] == ["parent", "change", "change", "parent"]
+    assert bench["runs"][42] == {"workload": "expr-dag", "seed": 26, "pair": 1, "side": "change",
+                                 "result": result(0.002)}
+    assert len(bench["exponent_runs"]) == 40
 
     lines = capsys.readouterr().out.splitlines()
     rows = {tuple(line.split()[:2]): line for line in lines[1:]}
-    assert len(lines) == 1 + 2 * len(METRICS) + 4 + 2
-    assert rows["expr-dag", "job_p50_s"].split()[-4:] == ["0.002", "-33.3%", "2/2", "within"]
-    assert rows["div-sd", "setup_s"].split()[-2:] == ["0/1", "within"]
-    assert rows["div-sd", "change"].endswith("failed 1 of 100 jobs, 0 of 1 runs not correct")
-    assert lines[-2:] == ["growth exponent parent: median 1.700, min 1.700, max 1.700 over 2 processes",
-                          "growth exponent change: median 1.900, min 1.900, max 1.900 over 2 processes"]
+    assert len(lines) == 1 + 4 * len(METRICS) + 4 * 2 + 2
+    assert rows["expr-dag", "job_p50_s"].split()[-4:] == ["0.002", "-33.3%", "10/10", "within"]
+    assert rows["div-sd", "setup_s"].split()[-2:] == ["0/10", "within"]
+    assert rows["div-sd", "change"].endswith("failed 10 of 1000 jobs, 0 of 10 runs not correct")
+    assert lines[-2:] == ["growth exponent parent: median 1.700, min 1.700, max 1.700 over 20 processes",
+                          "growth exponent change: median 1.900, min 1.900, max 1.900 over 20 processes"]
+
+
+@pytest.mark.parametrize("argv", [["a", "b", "--json", "out.json"], ["a", "b", "--seed", "5"],
+                                  ["a", "b", "--seed", "5", "--json", "out.json", "--exponent", "2"]])
+def test_the_command_takes_exactly_two_commits_a_seed_and_a_file(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        pairbench.main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_export_writes_the_committed_tree_only(tmp_path):
@@ -120,8 +129,3 @@ def test_export_writes_the_committed_tree_only(tmp_path):
     pairbench.export(repo, commit, dest)
     assert sorted(path.name for path in dest.iterdir()) == ["kept.txt"]
     assert (dest / "kept.txt").read_text() == "committed\n"
-
-
-@pytest.mark.parametrize("text, spec", [("div-sd:2711:10", ("div-sd", 2711, 10)), ("cli-mix:1:1", ("cli-mix", 1, 1))])
-def test_a_spec_is_workload_first_seed_and_pairs(text, spec):
-    assert pairbench.parse_spec(text) == spec

@@ -21,6 +21,7 @@ from tests.support import (
     walk,
     within,
 )
+from tests.test_divide_tower import DIGITS, EDGE_PAIRS
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -264,20 +265,38 @@ def test_carry_table_is_the_average_step():
         assert sd_ops._CARRY_STEPS[2 * c + a + b + 6] == (2 * carry + 6, d), (c, a, b)
 
 
-def test_canonical_layer_state_forgets_the_stages_below_a_constant():
-    # a constant outer double is the whole layer; a constant inner double
-    # leaves the carry unread.  Either way the canonical state steps alike.
-    spliced = {(1, 2, ("add", 1), ("const", -1)): (0, None, None, ("const", -1)),
-               (0, 1, 0, ("const", 1)): (0, None, None, ("const", 1)),
-               (-1, -2, ("const", 1), ("add", 1)): (-1, None, ("const", 1), ("add", 1)),
-               (1, 0, ("const", -1), "copy"): (1, None, ("const", -1), "copy")}
-    for state, canonical in spliced.items():
-        assert sd_ops._canonical(state) == canonical
-        for a, h in ((-1, 1), (0, 0), (1, -1)):
-            (next_state, x), (next_canonical, y) = sd_ops._layer_step(state, a, h), sd_ops._layer_step(canonical, a, h)
-            assert y == x and sd_ops._canonical(next_canonical) == sd_ops._canonical(next_state)
-    for state in (*sd_ops._LAYER_STARTS, (1, 0, "copy", ("add", -1)), (0, 1, -1, "copy"), (-1, 2, "copy", "copy")):
-        assert sd_ops._canonical(state) is state
+def _layer_closure() -> set[tuple]:
+    """Every layer state that 3-digit steps reach from ``_LAYER_STARTS``
+    over any code below and any code of y/2, as the tower steps them."""
+    seen = set(sd_ops._LAYER_STARTS)
+    todo = list(seen)
+    while todo:
+        first = todo.pop()
+        for below in range(27):
+            for h in range(27):
+                state = first
+                for a, b in zip(sd_tower._digits3(below), sd_tower._digits3(h)):
+                    state, _ = sd_ops._layer_step(state, a, b)
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return seen
+
+
+def test_the_tower_interns_only_states_of_the_bounded_layer_closure(monkeypatch):
+    # Rows are keyed on raw layer states, so the table is bounded for any
+    # input only because the closure is finite: a spliced state keeps the
+    # stages below its constant, 162 states in all.  The seeded and edge
+    # pairs of the tower tests, out-of-precondition splices among them,
+    # intern rows only from it.
+    closure = _layer_closure()
+    assert len(closure) <= 162
+    layers = sd_tower._Layers()
+    monkeypatch.setattr(sd_tower, "_LAYERS", layers)
+    rng = random.Random(20261018)
+    for x, y in [division_pair(rng) for _ in range(200)] + EDGE_PAIRS:
+        take_prefix(sd_ops.divide(sd_ops.encode(x), sd_ops.encode(y)), DIGITS)
+    assert len(layers.ids) > len(sd_ops._LAYER_STARTS) and set(layers.ids) <= closure
 
 
 @pytest.mark.parametrize("kind", [0, 1, -1])

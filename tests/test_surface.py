@@ -46,7 +46,6 @@ PRIVATE_IMPORTS = {
     ("gray_ops", "kernel", "_FORCE_LOCK"),
     ("gray_ops", "kernel", "_count_on"),
     ("sd_tower", "sd_ops", "_LAYER_STARTS"),
-    ("sd_tower", "sd_ops", "_canonical"),
     ("sd_tower", "sd_ops", "_layer_step"),
     ("sd_tower", "sd_ops", "_reads_y"),
 }

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Paired perfbench runs of two commits, with medians, pairs won and verdicts.
 
-    python3 tools/pairbench.py PARENT CHANGE --spec expr-dag:2701:10 \\
-        --spec div-sd:2711:10 --exponent 20 --json BENCH_27.json
+    python3 tools/pairbench.py PARENT CHANGE --seed 2801 --json BENCH_28.json
 
 Each commit is exported with ``git archive`` into a fresh directory, so no
-``__pycache__`` or stray file of the working tree reaches a run.  A spec
-``WORKLOAD:SEED:PAIRS`` runs ``PAIRS`` pairs on seeds ``SEED``,
-``SEED + 1``, ...: each pair runs ``perfbench/run.py`` once per side on one
-seed, for the ``run_seconds`` of the change's ``BENCHMARK.json``, under
-``PYTHONDONTWRITEBYTECODE=1``, the parent first in even pairs and the
-change first in odd ones.  ``--exponent K`` then runs ``K`` fresh
+``__pycache__`` or stray file of the working tree reaches a run.  Every
+workload of the change's ``BENCHMARK.json`` runs 10 pairs, workload i on
+seeds ``S + 10i`` to ``S + 10i + 9`` in the file's order: each pair runs
+``perfbench/run.py`` once per side on one seed, for the file's
+``run_seconds``, under ``PYTHONDONTWRITEBYTECODE=1``, the parent first in
+even pairs and the change first in odd ones.  Then 20 fresh
 ``python3 -m streamreal bench --digits 100,500,2000`` processes per side,
-alternating, for the division's growth exponent.
+alternating, give the division's growth exponent.
 
 The JSON file has the key layout of the earlier ``BENCH_*.json`` files:
 ``python``, ``host``, ``command``, ``parent``, ``change``, ``runs``,
@@ -41,6 +40,8 @@ import tempfile
 from pathlib import Path
 
 EXPONENT_DIGITS = "100,500,2000"
+PAIRS = 10  # pairs per workload, on consecutive seeds
+EXPONENT_PROCESSES = 20  # growth-exponent processes per side
 
 
 def resolve(repo: Path, commit: str) -> str:
@@ -78,20 +79,16 @@ def run_exponent(checkout: Path) -> dict:
             "growth_exponent": float(lines[-1]["growth-exponent"])}
 
 
-def parse_spec(text: str) -> tuple[str, int, int]:
-    workload, seed, pairs = text.split(":")
-    return workload, int(seed), int(pairs)
-
-
-def paired_runs(specs, seconds: float, runner, log) -> list[dict]:
+def paired_runs(workloads: list[str], first_seed: int, seconds: float, runner, log) -> list[dict]:
     """One record per run, in run order: ``workload``, ``seed``, ``pair``,
-    ``side`` and the runner's ``result``; the parent runs first in even
-    pairs.  ``runner(side, workload, seed, seconds)`` does one run, and
-    ``log`` gets one line per run."""
+    ``side`` and the runner's ``result``; workload i runs ``PAIRS`` pairs
+    from seed ``first_seed + PAIRS * i`` on, the parent first in even pairs.
+    ``runner(side, workload, seed, seconds)`` does one run, and ``log`` gets
+    one line per run."""
     runs = []
-    for workload, first_seed, pairs in specs:
-        for pair in range(pairs):
-            seed = first_seed + pair
+    for i, workload in enumerate(workloads):
+        for pair in range(PAIRS):
+            seed = first_seed + PAIRS * i + pair
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
                 result = runner(side, workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side, "result": result})
@@ -100,11 +97,11 @@ def paired_runs(specs, seconds: float, runner, log) -> list[dict]:
     return runs
 
 
-def exponent_runs(count: int, runner) -> list[dict]:
-    """``count`` processes per side, the parent first in even processes;
-    ``runner(side)`` does one."""
+def exponent_runs(runner) -> list[dict]:
+    """``EXPONENT_PROCESSES`` processes per side, the parent first in even
+    processes; ``runner(side)`` does one."""
     runs = []
-    for process in range(count):
+    for process in range(EXPONENT_PROCESSES):
         for side in ("parent", "change") if process % 2 == 0 else ("change", "parent"):
             runs.append({"side": side, "process": process, **runner(side)})
     return runs
@@ -137,7 +134,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
             "verdict": verdict}
 
 
-def report(runs: list[dict], metrics: list[dict], exponents: list[dict] = ()) -> list[str]:
+def report(runs: list[dict], metrics: list[dict], exponents: list[dict]) -> list[str]:
     """The report lines: one per workload and metric, then one per workload
     and side with its failed and attempted jobs, then the exponent per side."""
     lines = [f"{'workload':<10} {'metric':<14} {'parent median [q1, q3]':<36} {'change':>12} "
@@ -177,11 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the commit measured as the baseline")
     parser.add_argument("change", help="the commit measured against it")
-    parser.add_argument("--spec", action="append", type=parse_spec, required=True,
-                        metavar="WORKLOAD:SEED:PAIRS", help="pairs of one workload, seeds from SEED on")
-    parser.add_argument("--exponent", type=int, default=0, metavar="K",
-                        help="growth-exponent processes per side (default 0)")
-    parser.add_argument("--json", type=Path, help="write the runs to this file")
+    parser.add_argument("--seed", type=int, required=True, metavar="S",
+                        help="the first seed; workload i runs on seeds S+10i to S+10i+9")
+    parser.add_argument("--json", type=Path, required=True, help="write the runs to this file")
     args = parser.parse_args(argv)
 
     repo = Path(__file__).resolve().parent.parent
@@ -193,24 +188,23 @@ def main(argv: list[str] | None = None) -> int:
             export(repo, commits[side], checkout)
         benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         seconds = benchmark["run_seconds"]
-        runs = paired_runs(args.spec, seconds,
+        runs = paired_runs([workload["name"] for workload in benchmark["workloads"]], args.seed, seconds,
                            lambda side, *run: run_perfbench(checkouts[side], *run),
                            log=lambda line: print(line, file=sys.stderr, flush=True))
-        exponents = exponent_runs(args.exponent, lambda side: run_exponent(checkouts[side]))
-    if args.json:
-        args.json.write_text(json.dumps({
-            "python": platform.python_version(),
-            "host": f"{len(os.sched_getaffinity(0))} vCPUs, {platform.system()}",
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}, in fresh "
-                       "git archive checkouts of each commit under PYTHONDONTWRITEBYTECODE=1, sides "
-                       "alternating within each pair",
-            "parent": commits["parent"],
-            "change": commits["change"],
-            "runs": runs,
-            "exponent_command": f"python3 -m streamreal bench --digits {EXPONENT_DIGITS}, one fresh process "
-                                "each, alternating sides",
-            "exponent_runs": exponents,
-        }, indent=1) + "\n")
+        exponents = exponent_runs(lambda side: run_exponent(checkouts[side]))
+    args.json.write_text(json.dumps({
+        "python": platform.python_version(),
+        "host": f"{len(os.sched_getaffinity(0))} vCPUs, {platform.system()}",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}, in fresh "
+                   "git archive checkouts of each commit under PYTHONDONTWRITEBYTECODE=1, sides "
+                   "alternating within each pair",
+        "parent": commits["parent"],
+        "change": commits["change"],
+        "runs": runs,
+        "exponent_command": f"python3 -m streamreal bench --digits {EXPONENT_DIGITS}, one fresh process "
+                            "each, alternating sides",
+        "exponent_runs": exponents,
+    }, indent=1) + "\n")
     print("\n".join(report(runs, benchmark["end_to_end"], exponents)))
     return 0
 
