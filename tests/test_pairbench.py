@@ -107,7 +107,7 @@ def test_main_writes_the_bench_file_layout_and_reports_each_metric(tmp_path, mon
 
 @pytest.mark.parametrize("argv", [["a", "b", "--json", "out.json"], ["a", "b", "--seed", "5"],
                                   ["a", "b", "--seed", "5", "--json", "out.json", "--exponent", "2"]])
-def test_the_command_takes_exactly_two_commits_a_seed_and_a_file(argv, capsys):
+def test_the_command_takes_exactly_two_commits_a_seed_and_a_file(argv):
     with pytest.raises(SystemExit) as exit_info:
         pairbench.main(argv)
     assert exit_info.value.code == 2
