@@ -29,10 +29,10 @@ import math
 import re
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
-from . import gray_ops, sd_ops
+from . import sd_ops
 from .digits import _is_decimal, format_rational, parse_rational
 from .kernel import SdStream, take_gray_prefix, take_prefix, with_force_count
 
@@ -65,7 +65,9 @@ def _prefix(u: SdStream, n: int, code: str) -> list:
     """The first ``n`` symbols of the signed-digit stream ``u`` lifted into
     the coding ``code``."""
     if code == "gray":
-        return take_gray_prefix(gray_ops.from_sd(u), n)
+        from .gray_ops import from_sd  # loaded by the first Gray command, not the CLI
+
+        return take_gray_prefix(from_sd(u), n)
     return take_prefix(u, n)
 
 
@@ -126,9 +128,16 @@ def _cmd_encode(args) -> int:
     return _run(args, lambda x: x, [a], a)
 
 
-# op name -> (signed-digit operation, exact value); convert is the round
-# trip through the Gray coding, and to_sd hands back the unforced view's
-# source, so it converts no symbol and prints what encode prints
+def _convert(u: SdStream) -> SdStream:
+    """The round trip of ``u`` through the Gray coding; ``to_sd`` hands back
+    the unforced view's source, so it converts no symbol."""
+    from .gray_ops import from_sd, to_sd
+
+    return to_sd(from_sd(u))
+
+
+# op name -> (signed-digit operation, exact value); convert prints what
+# encode prints
 _OPS = {
     "neg": (sd_ops.negate, lambda a: -a),
     "half": (sd_ops.half, lambda a: a / 2),
@@ -136,7 +145,7 @@ _OPS = {
     "add1": (sd_ops.add_one, lambda a: a + 1),
     "sub1": (sd_ops.sub_one, lambda a: a - 1),
     "avg": (sd_ops.average, lambda a, b: (a + b) / 2),
-    "convert": (lambda u: gray_ops.to_sd(gray_ops.from_sd(u)), lambda a: a),
+    "convert": (_convert, lambda a: a),
 }
 
 

@@ -27,9 +27,9 @@ the encoder.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
 
 from . import sd_ops
 from .kernel import _FORCE_LOCK, GrayG, GrayH, GrayNode, SdStream, _count_on, stream_from_digits

@@ -58,10 +58,10 @@ same generator either way, with no counter when its head is forced.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Iterator
+from _thread import RLock
+from collections.abc import Callable, Iterator
 
-_FORCE_LOCK = threading.RLock()
+_FORCE_LOCK = RLock()
 
 
 class Cell:
@@ -85,11 +85,11 @@ class Cell:
     """
 
     __slots__ = ("head", "tail", "_pull")
-    head: Any
-    tail: Any
+    head: object
+    tail: object
 
     @classmethod
-    def cons(cls, head: Any, tail: "Cell") -> "Cell":
+    def cons(cls, head: object, tail: "Cell") -> "Cell":
         """Already forced cell ``(head, tail)``."""
         cell = cls()
         cell.head = head
@@ -98,7 +98,7 @@ class Cell:
         return cell
 
     @classmethod
-    def constant(cls, head: Any) -> "Cell":
+    def constant(cls, head: object) -> "Cell":
         """Cyclic one-cell stream repeating ``head`` forever (interned)."""
         cell = _CONSTANTS.get((cls, head))
         if cell is None:
@@ -231,7 +231,7 @@ class GrayH(GrayNode):
     is_g = False
 
 
-def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:
+def stream_from_digits(symbols: Iterator[object], cls: type = SdStream) -> Cell:
     """Stream of class ``cls`` pulling one symbol per forced cell from
     ``symbols``: the one constructor of a cell that pulls.
 
@@ -248,13 +248,13 @@ def stream_from_digits(symbols: Iterator[Any], cls: type = SdStream) -> Cell:
     return cell
 
 
-def _unfold(state: Any, step: Callable[[Any], tuple[int, Any]]) -> Iterator[int]:
+def _unfold(state: object, step: Callable[[object], tuple[int, object]]) -> Iterator[int]:
     while True:
         digit, state = step(state)
         yield digit
 
 
-def unfold_sd(seed: Any, step: Callable[[Any], tuple[int, Any]]) -> SdStream:
+def unfold_sd(seed: object, step: Callable[[object], tuple[int, object]]) -> SdStream:
     """Corecursion operator for signed-digit streams.
 
     ``step`` maps a state to ``(digit, next_state)`` and must be total on
@@ -278,7 +278,7 @@ def take_prefix(u: SdStream, n: int) -> list[int]:
     return out
 
 
-def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, Any]]:
+def take_gray_prefix(node: GrayNode, n: int) -> list[tuple[str, object]]:
     """First ``n`` constructors as ``(mode, sign)`` pairs, forcing exactly n.
 
     ``mode`` is ``"g"`` or ``"h"``; ``sign`` is +1/-1 or ``None`` for the
@@ -305,7 +305,7 @@ class _ForceCount:
         self.count = 0
 
 
-def _counted(counter: _ForceCount, cell: Cell) -> Iterator[Any]:
+def _counted(counter: _ForceCount, cell: Cell) -> Iterator[object]:
     while True:
         cell = cell._force()
         counter.count += 1

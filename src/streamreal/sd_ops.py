@@ -11,7 +11,7 @@ any stream is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterator
+from collections.abc import Iterator
 
 from .kernel import SdStream, stream_from_digits, take_prefix
 
@@ -125,7 +125,7 @@ def double(u: SdStream) -> SdStream:
     return stream_from_digits(_double(u, "dispatch"))
 
 
-def _double(u: SdStream, state: Any) -> Iterator[int]:
+def _double(u: SdStream, state: object) -> Iterator[int]:
     """Digits of a double (from state ``"dispatch"``) or of ``x + e`` (from
     ``("add", e)``) by :func:`_double_step`, splicing onto the input or the
     constant when the automaton does."""
@@ -232,7 +232,7 @@ _CARRY_STEPS = tuple(
                                  for c in range(-2, 3) for a in (-1, 0, 1) for b in (-1, 0, 1)}.items()))
 
 
-def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
+def _double_step(state: object, d: int) -> tuple[object, int | None]:
     """One input digit through the double automaton of :func:`_double`.
 
     States: ``"dispatch"`` before the first digit, ``"copy"`` after
@@ -252,7 +252,7 @@ def _double_step(state: Any, d: int) -> tuple[Any, int | None]:
     return state, d
 
 
-def _is_const(state: Any) -> bool:
+def _is_const(state: object) -> bool:
     return type(state) is tuple and state[0] == "const"
 
 

@@ -26,7 +26,7 @@ and forces v only as far as it reads.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .kernel import SdStream
 from .sd_ops import _LAYER_STARTS, _layer_step, _reads_y, half

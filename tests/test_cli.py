@@ -462,6 +462,39 @@ def test_package_import_leaves_cli_out_and_module_run_is_quiet():
         assert (run.returncode, run.stdout, run.stderr) == (0, "+000000000000000\n", ""), module
 
 
+def test_the_package_loads_the_signed_digit_core_and_the_rest_on_first_use():
+    # -S keeps site's preloads out, so the probes see the package's own closure
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def bare(*args):
+        return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True, text=True)
+
+    package = bare("-c", "import sys, streamreal\n"
+                         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'streamreal'))\n"
+                         "print('typing' in sys.modules, 'threading' in sys.modules)\n"
+                         "lazy = ('gray_ops', 'digits', 'cauchy')\n"
+                         "print(all(name in dir(streamreal) for name in lazy))\n"
+                         "print([getattr(streamreal, name).__name__ for name in lazy])\n"
+                         "try:\n"
+                         "    streamreal.nope\n"
+                         "except AttributeError as exc:\n"
+                         "    print(exc)\n")
+    assert package.stdout.splitlines() == [
+        "['streamreal', 'streamreal.kernel', 'streamreal.sd_ops']",
+        "False False",
+        "True",
+        "['streamreal.gray_ops', 'streamreal.digits', 'streamreal.cauchy']",
+        "module 'streamreal' has no attribute 'nope'",
+    ], package.stderr
+    cli_only = bare("-c", "import sys, streamreal.cli\n"
+                          "print([m for m in ('streamreal.cauchy', 'streamreal.gray_ops', 'streamreal.sd_tower',"
+                          " 'typing', 'threading') if m in sys.modules])\n")
+    assert (cli_only.stdout, cli_only.stderr) == ("[]\n", "")
+    # the Gray round trip loads gray_ops inside the command
+    run = bare("-m", "streamreal", "op", "convert", "1/3", "--code", "gray", "--digits", "4")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "R R R R\n", "")
+
+
 def test_package_module_run_passes_exit_codes():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-m", "streamreal", "div", "1/2", "1/8"], env=env,

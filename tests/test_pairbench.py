@@ -29,12 +29,18 @@ def result(p50: float, failed: int = 0, correct: bool = True) -> dict:
             "metrics": {name: {"value": value, "unit": "s"} for name, value in values.items()}}
 
 
+def record(p50: float, setup_wall: float = 0.01, failed: int = 0) -> dict:
+    """What ``run_perfbench`` returns for one run: the wall setup median and
+    the result line."""
+    return {"setup_wall_s": setup_wall, "result": result(p50, failed)}
+
+
 def test_pairs_alternate_which_side_runs_first_on_consecutive_seeds():
     calls, logged = [], []
 
     def runner(side, workload, seed, seconds):
         calls.append((side, workload, seed, seconds))
-        return result(0.002)
+        return record(0.002)
 
     runs = pairbench.paired_runs(WORKLOADS, 7, 25, runner, logged.append)
     assert calls == [(side, workload, 7 + 10 * i + pair, 25)
@@ -71,7 +77,8 @@ def test_main_writes_the_bench_file_layout_and_reports_each_metric(tmp_path, mon
 
     def run_perfbench(checkout, workload, seed, seconds):
         runs.append((checkout.name, workload, seed, seconds))
-        return result(0.003 if checkout.name == "parent" else 0.002, failed=int(workload == "div-sd"))
+        parent = checkout.name == "parent"
+        return record(0.003 if parent else 0.002, 0.010 if parent else 0.007, failed=int(workload == "div-sd"))
 
     def export(repo, commit, dest):
         (dest / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
@@ -92,17 +99,40 @@ def test_main_writes_the_bench_file_layout_and_reports_each_metric(tmp_path, mon
     assert (bench["parent"], bench["change"]) == ("a" * 40, "b" * 40)
     assert "--seconds 25," in bench["command"]
     assert bench["runs"][42] == {"workload": "expr-dag", "seed": 26, "pair": 1, "side": "change",
-                                 "result": result(0.002)}
+                                 "setup_wall_s": 0.007, "result": result(0.002)}
     assert len(bench["exponent_runs"]) == 40
 
     lines = capsys.readouterr().out.splitlines()
     rows = {tuple(line.split()[:2]): line for line in lines[1:]}
-    assert len(lines) == 1 + 4 * len(METRICS) + 4 * 2 + 2
+    assert len(lines) == 1 + 4 * (len(METRICS) + 1) + 4 * 2 + 2
     assert rows["expr-dag", "job_p50_s"].split()[-4:] == ["0.002", "-33.3%", "10/10", "within"]
     assert rows["div-sd", "setup_s"].split()[-2:] == ["0/10", "within"]
+    # the wall setup median follows the calibrated one, judged by its bound
+    assert lines.index(rows["cli-mix", "setup_wall_s"]) == lines.index(rows["cli-mix", "setup_s"]) + 1
+    assert rows["cli-mix", "setup_wall_s"].split()[2:] == ["0.01", "[0.01,", "0.01]", "0.007", "-30.0%", "10/10",
+                                                           "within"]
     assert rows["div-sd", "change"].endswith("failed 10 of 1000 jobs, 0 of 10 runs not correct")
     assert lines[-2:] == ["growth exponent parent: median 1.700, min 1.700, max 1.700 over 20 processes",
                           "growth exponent change: median 1.900, min 1.900, max 1.900 over 20 processes"]
+
+
+def test_a_perfbench_run_keeps_its_result_line_and_wall_setup_median(monkeypatch, tmp_path):
+    line = result(0.0017)
+    stdout = ("workload cli-mix seed 3 inputs 4ca99556b01244a4\n"
+              "wall (uncalibrated): setup 0.013209 s, p50 0.000817 s, p90 0.001184 s, 41454.1 digits/s; "
+              "reference loop median 1.709 ms [1.620, 3.280] over 36 samples\n"
+              "jobs 960, failed 0 (fail_frac 0.0000), wrong 0\n"
+              "  setup_s                           0.0264899 s\n"
+              + json.dumps(line) + "\n")
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv[1:], kwargs["cwd"], kwargs["env"]["PYTHONDONTWRITEBYTECODE"]))
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(pairbench.subprocess, "run", run)
+    assert pairbench.run_perfbench(tmp_path, "cli-mix", 3, 25) == {"setup_wall_s": 0.013209, "result": line}
+    assert calls == [(["perfbench/run.py", "--workload", "cli-mix", "--seed", "3", "--seconds", "25"], tmp_path, "1")]
 
 
 @pytest.mark.parametrize("argv", [["a", "b", "--json", "out.json"], ["a", "b", "--seed", "5"],

@@ -15,7 +15,9 @@ alternating, give the division's growth exponent.
 
 The JSON file has the key layout of the earlier ``BENCH_*.json`` files:
 ``python``, ``host``, ``command``, ``parent``, ``change``, ``runs``,
-``exponent_command``, ``exponent_runs``.  The report prints, per workload
+``exponent_command``, ``exponent_runs``; each run record also keeps, as
+``setup_wall_s``, the wall setup median that perfbench prints in its
+``wall (uncalibrated): setup X s`` line.  The report prints, per workload
 and end-to-end metric of the change's ``BENCHMARK.json``, the parent median
 and quartiles, the change median and its relative delta, the pairs the
 change won (ties count for neither side) and a verdict against the metric's
@@ -23,7 +25,10 @@ bound: ``worse`` when the change's median is worse than the parent's by
 more than the bound, ``unresolved`` when the parent's own spread (the
 distance between its quartiles, relative to its median) is wider than the
 bound and some change run reads no better than some parent run, and
-``within`` otherwise.  It adds no dependency: it runs on the standard
+``within`` otherwise.  Beside ``setup_s`` it prints the same row for
+``setup_wall_s``, judged against ``setup_s``'s bound: the calibration scales
+the child's import by the parent process's reference loop, which can turn a
+faster wall import into a slower calibrated one.  It adds no dependency: it runs on the standard
 library and ``git``.
 """
 
@@ -42,6 +47,7 @@ from pathlib import Path
 EXPONENT_DIGITS = "100,500,2000"
 PAIRS = 10  # pairs per workload, on consecutive seeds
 EXPONENT_PROCESSES = 20  # growth-exponent processes per side
+WALL_SETUP = "setup_wall_s"  # reported beside the calibrated setup_s
 
 
 def resolve(repo: Path, commit: str) -> str:
@@ -58,14 +64,17 @@ def export(repo: Path, commit: str, dest: Path) -> None:
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in ``checkout``: the JSON object
-    that ``perfbench/run.py`` prints last."""
+    """One perfbench run in ``checkout``: its wall setup median as
+    ``setup_wall_s`` and, as ``result``, the JSON object that
+    ``perfbench/run.py`` prints last."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)  # perfbench imports the checkout's own src
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    wall = next(line for line in lines if line.startswith("wall (uncalibrated): setup "))
+    return {WALL_SETUP: float(wall.split()[3]), "result": json.loads(lines[-1])}
 
 
 def run_exponent(checkout: Path) -> dict:
@@ -81,8 +90,9 @@ def run_exponent(checkout: Path) -> dict:
 
 def paired_runs(workloads: list[str], first_seed: int, seconds: float, runner, log) -> list[dict]:
     """One record per run, in run order: ``workload``, ``seed``, ``pair``,
-    ``side`` and the runner's ``result``; workload i runs ``PAIRS`` pairs
-    from seed ``first_seed + PAIRS * i`` on, the parent first in even pairs.
+    ``side`` and the keys of the runner's record (``setup_wall_s`` and
+    ``result``); workload i runs ``PAIRS`` pairs from seed
+    ``first_seed + PAIRS * i`` on, the parent first in even pairs.
     ``runner(side, workload, seed, seconds)`` does one run, and ``log`` gets
     one line per run."""
     runs = []
@@ -90,10 +100,10 @@ def paired_runs(workloads: list[str], first_seed: int, seconds: float, runner, l
         for pair in range(PAIRS):
             seed = first_seed + PAIRS * i + pair
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-                result = runner(side, workload, seed, seconds)
-                runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side, "result": result})
+                record = runner(side, workload, seed, seconds)
+                runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side, **record})
                 log(f"{workload} seed {seed} {side}: " + " ".join(
-                    f"{name}={metric['value']:.6g}" for name, metric in result["metrics"].items()))
+                    f"{name}={metric['value']:.6g}" for name, metric in record["result"]["metrics"].items()))
     return runs
 
 
@@ -134,22 +144,33 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
             "verdict": verdict}
 
 
+def value(record: dict, name: str) -> float:
+    """The reading of metric ``name`` in a run record."""
+    return record[name] if name == WALL_SETUP else record["result"]["metrics"][name]["value"]
+
+
 def report(runs: list[dict], metrics: list[dict], exponents: list[dict]) -> list[str]:
-    """The report lines: one per workload and metric, then one per workload
-    and side with its failed and attempted jobs, then the exponent per side."""
+    """The report lines: one per workload and metric, with ``setup_wall_s``
+    after ``setup_s``, then one per workload and side with its failed and
+    attempted jobs, then the exponent per side."""
     lines = [f"{'workload':<10} {'metric':<14} {'parent median [q1, q3]':<36} {'change':>12} "
              f"{'delta':>8} {'won':>6}  verdict"]
+    shown = []
+    for metric in metrics:
+        shown.append(metric)
+        if metric["name"] == "setup_s":
+            shown.append({**metric, "name": WALL_SETUP})
     workloads = list(dict.fromkeys(run["workload"] for run in runs))
     for workload in workloads:
         pairs: dict[int, dict[str, dict]] = {}
         for run in runs:
             if run["workload"] == workload:
-                pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+                pairs.setdefault(run["pair"], {})[run["side"]] = run
         complete = [pair for pair in pairs.values() if len(pair) == 2]
-        for metric in metrics:
+        for metric in shown:
             name = metric["name"]
-            row = compare([pair["parent"]["metrics"][name]["value"] for pair in complete],
-                          [pair["change"]["metrics"][name]["value"] for pair in complete],
+            row = compare([value(pair["parent"], name) for pair in complete],
+                          [value(pair["change"], name) for pair in complete],
                           metric["better"], metric["bound"])
             spread = f"{row['median']:.6g} [{row['q1']:.6g}, {row['q3']:.6g}]"
             lines.append(f"{workload:<10} {name:<14} {spread:<36} {row['change']:>12.6g} {row['delta']:>+8.1%} "
