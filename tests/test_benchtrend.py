@@ -62,6 +62,7 @@ def test_the_trend_prints_each_side_median_per_file_workload_and_metric(bench_fi
     ]
 
 
-def test_the_trend_needs_a_file(capsys):
-    assert benchtrend.main([]) == 2
-    assert capsys.readouterr().err == "usage: benchtrend.py BENCH_*.json\n"
+def test_the_trend_needs_a_file():
+    with pytest.raises(SystemExit) as exit_info:
+        benchtrend.main([])
+    assert exit_info.value.code == 2

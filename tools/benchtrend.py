@@ -14,6 +14,7 @@ nothing and reads only the files.
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import sys
@@ -47,14 +48,13 @@ def trend(files: list[Path]) -> list[str]:
     keys = list(dict.fromkeys(key for rows in table.values() for key in rows))
     workloads = list(dict.fromkeys(workload for workload, _ in keys))
     lines = [f"{'workload':<10} {'metric':<14} {'file':<16} {'parent':>12} {'change':>12} {'delta':>8}"]
-    for workload in workloads:
-        for key in (key for key in keys if key[0] == workload):
-            for name, rows in table.items():
-                row = rows.get(key, {})
-                if all(side in row for side in SIDES):
-                    delta = (row["change"] - row["parent"]) / row["parent"]
-                    lines.append(f"{workload:<10} {key[1]:<14} {name:<16} {row['parent']:>12.6g} "
-                                 f"{row['change']:>12.6g} {delta:>+8.1%}")
+    for workload, metric in sorted(keys, key=lambda key: workloads.index(key[0])):
+        for name, rows in table.items():
+            row = rows.get((workload, metric), {})
+            if all(side in row for side in SIDES):
+                delta = (row["change"] - row["parent"]) / row["parent"]
+                lines.append(f"{workload:<10} {metric:<14} {name:<16} {row['parent']:>12.6g} "
+                             f"{row['change']:>12.6g} {delta:>+8.1%}")
     for name, bench in benches.items():
         parts = []
         for side in SIDES:
@@ -67,11 +67,10 @@ def trend(files: list[Path]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    files = [Path(arg) for arg in (sys.argv[1:] if argv is None else argv)]
-    if not files:
-        print("usage: benchtrend.py BENCH_*.json", file=sys.stderr)
-        return 2
-    print("\n".join(trend(files)))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("files", nargs="+", type=Path, help="BENCH_*.json files, in the order to print")
+    args = parser.parse_args(argv)
+    print("\n".join(trend(args.files)))
     return 0
 
 

@@ -28,8 +28,8 @@ bound and some change run reads no better than some parent run, and
 ``within`` otherwise.  Beside ``setup_s`` it prints the same row for
 ``setup_wall_s``, judged against ``setup_s``'s bound: the calibration scales
 the child's import by the parent process's reference loop, which can turn a
-faster wall import into a slower calibrated one.  It adds no dependency: it runs on the standard
-library and ``git``.
+faster wall import into a slower calibrated one.  It adds no dependency: it
+runs on the standard library and ``git``.
 """
 
 from __future__ import annotations
