@@ -3,11 +3,12 @@ codings held equal.
 
 Each command runs through ``main`` on seeded rationals: ``encode`` in both
 codings, every ``op`` name and ``div`` with ``--stats`` in both codings,
-and the misuses (a bad rational, an unknown op name, each precondition of ``encode``, ``op``
-and ``div``, a ``--digits`` of 0 or -3 and the operand-count errors).  The
-pinned value is a sha256 of the exit code, standard output and standard
-error, with the ``elapsed=`` time masked; any other change to a byte the
-command prints changes it.
+the misuses (a bad rational, a missing operand, an unknown op name, each
+precondition of ``encode``, ``op`` and ``div``, a ``--digits`` of 0 or -3
+and the operand-count errors) and the ``--help`` of the root parser and of
+each command.  The pinned value is a sha256 of the exit code, standard
+output and standard error, with the ``elapsed=`` time masked; any other
+change to a byte the command prints changes it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ _MISUSES = [
     # parse errors (exit 2), also ahead of a precondition
     ("encode", "half"), ("op", "neg", "1/x"), ("op", "avg", "3/2", "q"),
     ("div", "x", "1/2"), ("div", "1/2", "y"), ("div", "3/2", "y"),
+    # a missing operand (argparse, exit 2)
+    ("encode",), ("op", "neg"), ("div", "1/2"),
     # an unknown op name (argparse, exit 2) and operand counts (exit 2)
     ("op", "sqrt", "1/4"),
     ("op", "avg", "1/2"), ("op", "avg", "1/2", "1/4", "1/8"), ("op", "neg", "1/2", "1/4"),
@@ -72,7 +75,7 @@ _MISUSES = [
     # preconditions (exit 3), also ahead of --digits
     ("encode", "3/2"), ("encode", "-5/4"), ("op", "neg", "3/2"), ("op", "avg", "1/2", "-5/4"),
     ("op", "avg", "-9/8", "1/2"), ("op", "double", "3/4"), ("op", "add1", "1/2"),
-    ("op", "sub1", "-1/2"), ("op", "half", "2"), ("div", "1/8", "1/8"),
+    ("op", "sub1", "-1/2"), ("op", "half", "2"), ("op", "convert", "3/2"), ("div", "1/8", "1/8"),
     ("div", "1/2", "9/8"), ("div", "7/8", "1/2"), ("op", "add1", "1/2", "--digits", "0"),
     ("div", "1/8", "1/8", "--digits", "-3"),
     # --digits below 1 (exit 3)
@@ -83,8 +86,12 @@ _MISUSES = [
 ]
 
 
+_HELPS = [("--help",), *[(command, "--help") for command in ("encode", "op", "div", "bench")]]
+
+
 def _commands() -> list[tuple[str, ...]]:
-    return _valid_commands() + [(*argv, "--code", code) for code in CODES for argv in _MISUSES]
+    return (_valid_commands() + [(*argv, "--code", code) for code in CODES for argv in _MISUSES]
+            + _HELPS)
 
 
 def _transcript(capsys, argv) -> tuple[int, str, str]:
@@ -151,6 +158,9 @@ GOLDEN = {
     "div x 1/2 --code sd": "86fb2e8caf56e59a",
     "div 1/2 y --code sd": "57f379cd53f453ba",
     "div 3/2 y --code sd": "57f379cd53f453ba",
+    "encode --code sd": "d383b878d0fc3882",
+    "op neg --code sd": "2b443fecd8989189",
+    "div 1/2 --code sd": "4e05dc3647bac67b",
     "op sqrt 1/4 --code sd": "0af75e50a76d6d9f",
     "op avg 1/2 --code sd": "2231e69690ab3a2c",
     "op avg 1/2 1/4 1/8 --code sd": "2231e69690ab3a2c",
@@ -165,6 +175,7 @@ GOLDEN = {
     "op add1 1/2 --code sd": "5fb9fadeeb5ebfe1",
     "op sub1 -1/2 --code sd": "50d384bbca648460",
     "op half 2 --code sd": "97a2fd7719a3f574",
+    "op convert 3/2 --code sd": "7d5869006f891053",
     "div 1/8 1/8 --code sd": "be17eec0025a0ae0",
     "div 1/2 9/8 --code sd": "6361d2c757ad6e44",
     "div 7/8 1/2 --code sd": "b83ed67ee2b2dc1a",
@@ -184,6 +195,9 @@ GOLDEN = {
     "div x 1/2 --code gray": "86fb2e8caf56e59a",
     "div 1/2 y --code gray": "57f379cd53f453ba",
     "div 3/2 y --code gray": "57f379cd53f453ba",
+    "encode --code gray": "d383b878d0fc3882",
+    "op neg --code gray": "2b443fecd8989189",
+    "div 1/2 --code gray": "4e05dc3647bac67b",
     "op sqrt 1/4 --code gray": "0af75e50a76d6d9f",
     "op avg 1/2 --code gray": "2231e69690ab3a2c",
     "op avg 1/2 1/4 1/8 --code gray": "2231e69690ab3a2c",
@@ -198,6 +212,7 @@ GOLDEN = {
     "op add1 1/2 --code gray": "5fb9fadeeb5ebfe1",
     "op sub1 -1/2 --code gray": "50d384bbca648460",
     "op half 2 --code gray": "97a2fd7719a3f574",
+    "op convert 3/2 --code gray": "7d5869006f891053",
     "div 1/8 1/8 --code gray": "be17eec0025a0ae0",
     "div 1/2 9/8 --code gray": "6361d2c757ad6e44",
     "div 7/8 1/2 --code gray": "b83ed67ee2b2dc1a",
@@ -211,6 +226,11 @@ GOLDEN = {
     "op avg 1/2 1/4 --digits -3 --code gray": "462b7026974c67a8",
     "div 1/4 1/2 --stats --digits 0 --code gray": "3d2031ee15db5c5f",
     "div 1/4 1/2 --stats --digits -3 --code gray": "462b7026974c67a8",
+    "--help": "28ae945b40734e3a",
+    "encode --help": "49e62ef0244967e1",
+    "op --help": "91d332fc47b74381",
+    "div --help": "79164c8cada81d40",
+    "bench --help": "5d9010fdb0479cf5",
 }
 
 
