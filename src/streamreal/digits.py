@@ -1,4 +1,8 @@
-"""Exact rational plumbing shared by the other modules.
+"""Exact rational plumbing for the command line.
+
+In the package only :mod:`streamreal.cli` imports this module: it parses
+the operands and ``--digits`` counts and writes the ``--stats`` values;
+outside it, perfbench's ``micro.py`` times :func:`parse_rational`.
 
 Rationals are stdlib :class:`fractions.Fraction` values, which already keep
 the canonical form we rely on (positive denominator, reduced by gcd,

@@ -342,5 +342,5 @@ def _count_on(u: Cell, counter: _ForceCount) -> Cell:
     return stream_from_digits(_counted(counter, u), type(u))
 
 
-# Kept for perfbench/jobs.py, its last caller; ROADMAP item 1 retires it.
+# Kept for perfbench/jobs.py, its last caller; ROADMAP item 2 retires it.
 with_force_count_gray = with_force_count
