@@ -11,13 +11,15 @@ one line to standard error and no traceback.  Digit output goes to
 standard output, one result per line; ``--stats`` adds a trailing
 ``key=value`` report line.
 
-``encode``, ``op`` and ``div`` check their arguments and then share one
-runner, :func:`_run`.  Every command computes in signed digits: each input
-is the signed-digit encoding of its rational behind a force counter, the
-:mod:`streamreal.sd_ops` function runs on those streams, and only its
-result is lifted into the output coding.  ``--stats`` therefore counts the
-digits forced on each input, the same numbers in both codings, and decodes
-the signed-digit result (equal to the Gray midpoint of the same prefix).
+``encode``, ``div`` and each ``op`` name are rows of one table,
+``_ROWS``, that names the signed-digit operation, the exact value and the
+preconditions, and one handler, :func:`_compute`, runs every row.  Every
+command computes in signed digits: each input is the signed-digit encoding
+of its rational behind a force counter, the :mod:`streamreal.sd_ops`
+function runs on those streams, and only its result is lifted into the
+output coding.  ``--stats`` therefore counts the digits forced on each
+input, the same numbers in both codings, and decodes the signed-digit
+result (equal to the Gray midpoint of the same prefix).
 ``--code`` is the one output switch: :func:`_prefix`, shared with
 ``bench``, reads the result in the coding it names.
 """
@@ -29,7 +31,6 @@ import math
 import re
 import sys
 import time
-from collections.abc import Callable
 from fractions import Fraction
 
 from . import sd_ops
@@ -85,30 +86,65 @@ def report_line(n: int, counts: list[int], elapsed: float,
     return " ".join(parts)
 
 
-def _parse_arg(text: str) -> Fraction:
+def _convert(u: SdStream) -> SdStream:
+    """The round trip of ``u`` through the Gray coding; ``to_sd`` hands back
+    the unforced view's source, so it converts no symbol."""
+    from .gray_ops import from_sd, to_sd
+
+    return to_sd(from_sd(u))
+
+
+_A_IN_UNIT = (lambda a, *_: -1 <= a <= 1, "-1 <= a <= 1")
+
+# command or op name -> (signed-digit operation, exact value, preconditions
+# in the order they are checked, each a test on the operands and the
+# inequality it names); convert prints what encode prints
+_ROWS = {
+    "encode": (lambda u: u, lambda a: a, [_A_IN_UNIT]),
+    "neg": (sd_ops.negate, lambda a: -a, [_A_IN_UNIT]),
+    "half": (sd_ops.half, lambda a: a / 2, [_A_IN_UNIT]),
+    "double": (sd_ops.double, lambda a: 2 * a,
+               [_A_IN_UNIT, (lambda a: abs(a) <= Fraction(1, 2), "|a| <= 1/2")]),
+    "add1": (sd_ops.add_one, lambda a: a + 1, [_A_IN_UNIT, (lambda a: a <= 0, "a <= 0")]),
+    "sub1": (sd_ops.sub_one, lambda a: a - 1, [_A_IN_UNIT, (lambda a: a >= 0, "0 <= a")]),
+    "avg": (sd_ops.average, lambda a, b: (a + b) / 2,
+            [_A_IN_UNIT, (lambda a, b: -1 <= b <= 1, "-1 <= b <= 1")]),
+    "convert": (_convert, lambda a: a, [_A_IN_UNIT]),
+    "div": (sd_ops.divide, lambda x, y: x / y, [(lambda x, y: Fraction(1, 4) <= y, "1/4 <= y"),
+                                                (lambda x, y: y <= 1, "y <= 1"),
+                                                (lambda x, y: abs(x) <= y, "|x| <= y")]),
+}
+_OPS = tuple(name for name in _ROWS if name not in ("encode", "div"))
+
+
+def _compute(args) -> int:
+    """Run the row of ``encode``, ``div`` or the op ``args.name``: parse the
+    operands (exit 2), check the op's operand count (exit 2), the row's
+    preconditions and ``--digits >= 1`` (exit 3), then print
+    ``args.digits`` symbols of the signed-digit operation on the operands'
+    encodings, lifted into the coding ``args.code``; under ``args.stats``
+    decode them and print the report line against the exact value."""
+    name = getattr(args, "name", args.command)  # an op's name, else the command
+    texts = [args.numerator, args.denominator] if name == "div" else args.values
     try:
-        return parse_rational(text)
+        values = [parse_rational(text) for text in texts]
     except ValueError as exc:
         raise _CliFailure(2, f"error: {exc}") from exc
-
-
-def _require(condition: bool, message: Callable[[], str]) -> None:
-    """Exit 3 naming the inequality that failed; ``message`` builds its text
-    only when ``condition`` is false."""
-    if not condition:
-        raise _CliFailure(3, f"precondition violated: {message()}")
-
-
-def _require_unit(a: Fraction, name: str) -> None:
-    _require(-1 <= a <= 1, lambda: f"-1 <= {name} <= 1 ({name} = {format_rational(a)})")
-
-
-def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
-    """Print ``args.digits`` symbols of the signed-digit ``op`` on the inputs
-    ``values``, lifted into the coding ``args.code``; under ``args.stats``
-    decode them and print the report line against the ``exact`` value."""
+    arity = 2 if name in ("avg", "div") else 1
+    if len(values) != arity:
+        count = "two rationals" if arity == 2 else "one rational"
+        raise _CliFailure(2, f"error: {name} needs exactly {count}")
+    op, exact, preconditions = _ROWS[name]
+    for test, inequality in preconditions:
+        if not test(*values):
+            # the message gives the value of each operand the inequality names
+            operands = "xy" if name == "div" else "ab"
+            named = [f"{var} = {format_rational(value)}" for var, value in zip(operands, values)
+                     if var in inequality]
+            raise _CliFailure(3, f"precondition violated: {inequality} ({', '.join(named)})")
     n = args.digits
-    _require(n >= 1, lambda: f"--digits >= 1 (--digits = {n})")
+    if n < 1:
+        raise _CliFailure(3, f"precondition violated: --digits >= 1 (--digits = {n})")
     to_text = gray_to_text if args.code == "gray" else sd_to_text
     inputs = [with_force_count(sd_ops.encode(a)) for a in values]
     u = op(*[stream for stream, _ in inputs])
@@ -118,74 +154,8 @@ def _run(args, op: Callable, values: list[Fraction], exact: Fraction) -> int:
     print(text)
     if args.stats:
         counts = [counter.count for _, counter in inputs]
-        print(report_line(n, counts, elapsed, sd_ops.decode(u, n), exact))
+        print(report_line(n, counts, elapsed, sd_ops.decode(u, n), exact(*values)))
     return 0
-
-
-def _cmd_encode(args) -> int:
-    a = _parse_arg(args.value)
-    _require_unit(a, "a")
-    return _run(args, lambda x: x, [a], a)
-
-
-def _convert(u: SdStream) -> SdStream:
-    """The round trip of ``u`` through the Gray coding; ``to_sd`` hands back
-    the unforced view's source, so it converts no symbol."""
-    from .gray_ops import from_sd, to_sd
-
-    return to_sd(from_sd(u))
-
-
-# op name -> (signed-digit operation, exact value); convert prints what
-# encode prints
-_OPS = {
-    "neg": (sd_ops.negate, lambda a: -a),
-    "half": (sd_ops.half, lambda a: a / 2),
-    "double": (sd_ops.double, lambda a: 2 * a),
-    "add1": (sd_ops.add_one, lambda a: a + 1),
-    "sub1": (sd_ops.sub_one, lambda a: a - 1),
-    "avg": (sd_ops.average, lambda a, b: (a + b) / 2),
-    "convert": (_convert, lambda a: a),
-}
-
-
-def _check_op_preconditions(name: str, values: list[Fraction]) -> None:
-    a = values[0]
-    _require_unit(a, "a")
-    if name == "avg":
-        _require_unit(values[1], "b")
-    elif name == "double":
-        _require(abs(a) <= Fraction(1, 2), lambda: f"|a| <= 1/2 (a = {format_rational(a)})")
-    elif name == "add1":
-        _require(a <= 0, lambda: f"a <= 0 (a = {format_rational(a)})")
-    elif name == "sub1":
-        _require(a >= 0, lambda: f"0 <= a (a = {format_rational(a)})")
-
-
-def _cmd_op(args) -> int:
-    values = [_parse_arg(text) for text in args.values]
-    name = args.name
-    if name == "avg":
-        if len(values) != 2:
-            raise _CliFailure(2, "error: avg needs exactly two rationals")
-    elif len(values) != 1:
-        raise _CliFailure(2, f"error: {name} needs exactly one rational")
-    _check_op_preconditions(name, values)
-    op, exact_op = _OPS[name]
-    return _run(args, op, values, exact_op(*values))
-
-
-def _check_div_preconditions(x: Fraction, y: Fraction) -> None:
-    _require(Fraction(1, 4) <= y, lambda: f"1/4 <= y (y = {format_rational(y)})")
-    _require(y <= 1, lambda: f"y <= 1 (y = {format_rational(y)})")
-    _require(abs(x) <= y, lambda: f"|x| <= y (x = {format_rational(x)}, y = {format_rational(y)})")
-
-
-def _cmd_div(args) -> int:
-    x = _parse_arg(args.numerator)
-    y = _parse_arg(args.denominator)
-    _check_div_preconditions(x, y)
-    return _run(args, sd_ops.divide, [x, y], x / y)
 
 
 def _count(text: str) -> int:
@@ -264,23 +234,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output coding (default sd)")
 
     p_encode = sub.add_parser("encode", help="print the canonical code of a rational")
-    p_encode.add_argument("value", help="rational in [-1,1], e.g. 1/2 or -3/4")
+    p_encode.add_argument("values", nargs=1, metavar="value",
+                          help="rational in [-1,1], e.g. 1/2 or -3/4")
     common(p_encode, 16)
-    p_encode.set_defaults(func=_cmd_encode, stats=False)
+    p_encode.set_defaults(func=_compute, stats=False)
 
     p_op = sub.add_parser("op", help="apply a stream operation to rational inputs")
     p_op.add_argument("name", choices=tuple(_OPS))
     p_op.add_argument("values", nargs="+", help="one rational (two for avg)")
     common(p_op, 16)
     p_op.add_argument("--stats", action="store_true", help="append a run report line")
-    p_op.set_defaults(func=_cmd_op)
+    p_op.set_defaults(func=_compute)
 
     p_div = sub.add_parser("div", help="divide two rationals digit by digit")
     p_div.add_argument("numerator")
     p_div.add_argument("denominator")
     common(p_div, 19)
     p_div.add_argument("--stats", action="store_true", help="append a run report line")
-    p_div.set_defaults(func=_cmd_div)
+    p_div.set_defaults(func=_compute)
 
     p_bench = sub.add_parser("bench", help="time the division benchmark at growing digit counts "
                                            "(median of the runs that fill 0.2 s, at least one)")
