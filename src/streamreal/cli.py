@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.set_defaults(func=_compute, stats=False)
 
     p_op = sub.add_parser("op", help="apply a stream operation to rational inputs")
-    p_op.add_argument("name", choices=tuple(_OPS))
+    p_op.add_argument("name", choices=_OPS)
     p_op.add_argument("values", nargs="+", help="one rational (two for avg)")
     common(p_op, 16)
     p_op.add_argument("--stats", action="store_true", help="append a run report line")
