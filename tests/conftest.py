@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import gc
+import sys
+from pathlib import Path
 
 import pytest
+
+# the tools under tools/ are scripts, not a package; tests import them by name
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -3,13 +3,7 @@ hand."""
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("codelines", ROOT / "tools" / "codelines.py")
-codelines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(codelines)
+import codelines
 
 # each line that counts ends in "# code"; docstrings, comments, blank lines
 # and the lone indents and dedents of a block do not
